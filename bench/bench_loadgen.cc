@@ -25,6 +25,10 @@
 //   * identity bit: a remote query must equal the in-process answer bit
 //     for bit (the codec must not perturb a double);
 //   * overload_shed_occurred: admission control actually engaged.
+// Each phase also checks the accounting law: every scheduled arrival ends
+// as exactly one of served, shed, deadline_expired, abandoned or errors (a
+// client that loses its connection counts all its remaining arrivals as
+// errors). The bench exits non-zero when a phase breaks it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -55,6 +59,10 @@ using namespace simsub;
 
 struct PhaseResult {
   double offered_qps = 0.0;
+  /// Arrivals the clients' Poisson schedules drew. Every one must end as
+  /// exactly one of the five outcomes below (the loadgen accounting law,
+  /// checked by RunPhase into `accounted`).
+  int64_t scheduled = 0;
   int64_t served = 0;
   int64_t shed = 0;
   int64_t deadline_expired = 0;
@@ -62,6 +70,7 @@ struct PhaseResult {
   int64_t errors = 0;
   int64_t requests = 0;
   int64_t retries = 0;
+  bool accounted = true;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double p999_ms = 0.0;
@@ -70,6 +79,7 @@ struct PhaseResult {
 /// One simulated client: an independent Poisson arrival process over one
 /// connection. Response time is measured from the scheduled arrival.
 struct ClientTrace {
+  int64_t scheduled = 0;
   std::vector<double> served_ms;
   int64_t shed = 0;
   int64_t deadline_expired = 0;
@@ -82,27 +92,40 @@ struct ClientTrace {
   int64_t retries = 0;
 };
 
+/// Arrival times (seconds from the phase start) of one client's Poisson
+/// process: exponential inter-arrival -ln(U)/rate, fixed up front by the
+/// seed.
+std::vector<double> ArrivalSchedule(double rate, double duration_s,
+                                    uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> arrivals;
+  for (double t = -std::log(1.0 - rng.Uniform()) / rate; t < duration_s;
+       t += -std::log(1.0 - rng.Uniform()) / rate) {
+    arrivals.push_back(t);
+  }
+  return arrivals;
+}
+
 void RunClient(int port, int index, double rate_per_client, double duration_s,
                const service::QuerySpec& base_spec, uint64_t seed,
                ClientTrace* trace) {
+  const std::vector<double> arrivals =
+      ArrivalSchedule(rate_per_client, duration_s, seed);
+  trace->scheduled = static_cast<int64_t>(arrivals.size());
   auto client = net::Client::Connect(
       "127.0.0.1", port, {.client_id = "loadgen-" + std::to_string(index)});
   if (!client.ok()) {
-    ++trace->errors;
+    // No connection, so every scheduled arrival is lost.
+    trace->errors += trace->scheduled;
     return;
   }
-  util::Rng rng(seed);
   auto start = std::chrono::steady_clock::now();
-  double next_s = 0.0;
-  while (true) {
-    // Exponential inter-arrival: -ln(U)/rate. The schedule is fixed up
-    // front by the seed; actual send times slip behind it when the
-    // connection is busy, and that slip is charged to the response.
-    next_s += -std::log(1.0 - rng.Uniform()) / rate_per_client;
-    if (next_s >= duration_s) break;
+  for (size_t a = 0; a < arrivals.size(); ++a) {
+    // Actual send times slip behind the schedule when the connection is
+    // busy, and that slip is charged to the response.
     auto scheduled =
         start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(next_s));
+                    std::chrono::duration<double>(arrivals[a]));
     // A real open-loop client with a deadline abandons a request it cannot
     // even send until half its deadline is gone — sending it would only
     // measure this client's own backlog, which the server never sees and
@@ -127,7 +150,11 @@ void RunClient(int port, int index, double rate_per_client, double duration_s,
       auto again = net::Client::Connect(
           "127.0.0.1", port,
           {.client_id = "loadgen-" + std::to_string(index)});
-      if (!again.ok()) return;
+      if (!again.ok()) {
+        // Every later arrival is lost with the connection.
+        trace->errors += static_cast<int64_t>(arrivals.size() - a - 1);
+        return;
+      }
       *client = std::move(*again);
       continue;
     }
@@ -169,6 +196,7 @@ PhaseResult RunPhase(int port, int clients, double offered_qps,
   result.offered_qps = offered_qps;
   std::vector<double> served;
   for (const auto& t : traces) {
+    result.scheduled += t.scheduled;
     served.insert(served.end(), t.served_ms.begin(), t.served_ms.end());
     result.shed += t.shed;
     result.deadline_expired += t.deadline_expired;
@@ -181,15 +209,27 @@ PhaseResult RunPhase(int port, int clients, double offered_qps,
   result.p50_ms = util::Quantile(served, 0.5);
   result.p99_ms = util::Quantile(served, 0.99);
   result.p999_ms = util::Quantile(served, 0.999);
+  const int64_t outcomes = result.served + result.shed +
+                           result.deadline_expired + result.abandoned +
+                           result.errors;
+  result.accounted = outcomes == result.scheduled;
+  if (!result.accounted) {
+    std::fprintf(stderr,
+                 "FAIL: loadgen accounting: %lld scheduled arrivals != %lld "
+                 "served + shed + deadline_expired + abandoned + errors\n",
+                 static_cast<long long>(result.scheduled),
+                 static_cast<long long>(outcomes));
+  }
   return result;
 }
 
 void PrintPhase(const char* name, const PhaseResult& r) {
   std::printf(
-      "%-9s offered %7.1f q/s: served %5lld (p50 %6.2f ms, p99 %7.2f ms, "
-      "p99.9 %7.2f ms), shed %5lld, deadline %4lld, abandoned %4lld, "
-      "errors %lld\n",
-      name, r.offered_qps, static_cast<long long>(r.served), r.p50_ms,
+      "%-9s offered %7.1f q/s: scheduled %5lld, served %5lld (p50 %6.2f ms, "
+      "p99 %7.2f ms, p99.9 %7.2f ms), shed %5lld, deadline %4lld, "
+      "abandoned %4lld, errors %lld\n",
+      name, r.offered_qps, static_cast<long long>(r.scheduled),
+      static_cast<long long>(r.served), r.p50_ms,
       r.p99_ms, r.p999_ms, static_cast<long long>(r.shed),
       static_cast<long long>(r.deadline_expired),
       static_cast<long long>(r.abandoned), static_cast<long long>(r.errors));
@@ -404,6 +444,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: remote results differ from local\n");
     return 1;
   }
+  if (!underload.accounted || !overload.accounted) return 1;
   if (!shed_occurred) {
     std::fprintf(stderr,
                  "FAIL: 2x-capacity overload produced no shedding — "

@@ -335,219 +335,20 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
     std::span<const BatchedQueryView> queries,
     const algo::SubtrajectorySearch& search,
     const BatchQueryOptions& options) const {
-  const size_t nq = queries.size();
-  std::vector<QueryReport> reports(nq);
-  if (nq == 0) return reports;
-  SIMSUB_CHECK_GE(options.threads, 1);
-  util::Stopwatch timer;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // Per-query candidate lists. CandidateOrdinals returns ascending ordinals
-  // for every filter, which is also the order the one-at-a-time scan visits
-  // them in — the batched scan below walks each query's candidates in
-  // exactly that order, so per-query results match Query() bit for bit.
-  std::vector<std::vector<int64_t>> cands(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    SIMSUB_CHECK(!queries[q].points.empty());
-    SIMSUB_CHECK_GT(queries[q].k, 0);
-    cands[q] =
-        CandidateOrdinals(queries[q].points, queries[q].filter,
-                          options.index_margin);
-    reports[q].filter_used = queries[q].filter;
-    reports[q].trajectories_pruned = static_cast<int64_t>(database_.size()) -
-                                     static_cast<int64_t>(cands[q].size());
-  }
-
-  // Sorted union of the candidate sets: the outer scan axis. Each
-  // trajectory is loaded once and searched against every query that wants
-  // it while its columns are hot.
-  std::vector<int64_t> uni;
-  for (const auto& c : cands) uni.insert(uni.end(), c.begin(), c.end());
-  std::sort(uni.begin(), uni.end());
-  uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
-
-  // Per-query shared state, mirroring Query()'s: a CAS-min best-kth bound
-  // and a sticky deadline-expiry flag, each shared across scan partitions.
-  auto bounds = std::make_unique<std::atomic<double>[]>(nq);
-  auto expired = std::make_unique<std::atomic<bool>[]>(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    bounds[q].store(kInf, std::memory_order_relaxed);
-    expired[q].store(false, std::memory_order_relaxed);
-  }
-
-  const similarity::SimilarityMeasure* measure =
-      options.prune ? search.measure() : nullptr;
-  const similarity::DistanceAggregation agg =
-      measure != nullptr ? measure->aggregation()
-                         : similarity::DistanceAggregation::kOther;
-  if (agg != similarity::DistanceAggregation::kOther) {
-    EnsureSoa();  // warm on the coordinating thread, as in Query()
-  }
-
-  // One partition's scan over union indices [lo, hi). heaps/scanned/
-  // lb_skipped/dp_abandoned are this partition's per-query slices.
-  auto scan_range = [&](size_t lo, size_t hi, std::vector<TopKHeap>& heaps,
-                        std::vector<int64_t>& scanned,
-                        std::vector<int64_t>& lb_skipped,
-                        std::vector<int64_t>& dp_abandoned,
-                        similarity::EvaluatorCache* scratch) {
-    // cursor[q] tracks the next unconsumed entry of cands[q]; seeded by
-    // binary search at the chunk boundary, then advanced incrementally (the
-    // union is sorted, so each cursor only moves forward).
-    std::vector<size_t> cursor(nq);
-    for (size_t q = 0; q < nq; ++q) {
-      cursor[q] = static_cast<size_t>(
-          std::lower_bound(cands[q].begin(), cands[q].end(), uni[lo]) -
-          cands[q].begin());
-    }
-    for (size_t c = lo; c < hi; ++c) {
-      const int64_t ordinal = uni[c];
-      const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
-      for (size_t q = 0; q < nq; ++q) {
-        size_t& cu = cursor[q];
-        while (cu < cands[q].size() && cands[q][cu] < ordinal) ++cu;
-        if (cu == cands[q].size() || cands[q][cu] != ordinal) continue;
-        ++cu;
-        const BatchedQueryView& query = queries[q];
-        // Per-query cancellation / deadline, same cadence as Query(): only
-        // this query stops; its batchmates keep scanning.
-        if (query.cancel != nullptr &&
-            query.cancel->load(std::memory_order_relaxed)) {
-          continue;
-        }
-        const bool has_deadline =
-            query.deadline != std::chrono::steady_clock::time_point::max();
-        if (has_deadline &&
-            (expired[q].load(std::memory_order_relaxed) ||
-             std::chrono::steady_clock::now() >= query.deadline)) {
-          expired[q].store(true, std::memory_order_relaxed);
-          continue;
-        }
-        if (traj.empty()) continue;
-        ++scanned[q];
-
-        double threshold = kInf;
-        if (options.prune) {
-          if (static_cast<int>(heaps[q].size()) == query.k) {
-            threshold = heaps[q].top().distance;
-          }
-          threshold = std::min(
-              threshold, bounds[q].load(std::memory_order_relaxed));
-        }
-        if (threshold < kInf &&
-            agg != similarity::DistanceAggregation::kOther) {
-          if (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query.points) >
-                  threshold ||
-              algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
-                                              query.points) > threshold) {
-            ++lb_skipped[q];
-            continue;
-          }
-        }
-
-        algo::SearchResult r =
-            options.prune
-                ? search.Search(traj.View(), query.points, scratch, threshold)
-                : search.Search(traj.View(), query.points, scratch);
-        dp_abandoned[q] += r.stats.abandoned;
-        OfferEntry(heaps[q], query.k, TopKEntry{traj.id(), r.best, r.distance});
-
-        if (options.prune &&
-            static_cast<int>(heaps[q].size()) == query.k) {
-          double kth = heaps[q].top().distance;
-          double cur = bounds[q].load(std::memory_order_relaxed);
-          while (kth < cur && !bounds[q].compare_exchange_weak(
-                                  cur, kth, std::memory_order_relaxed)) {
-          }
-        }
-      }
-    }
-  };
-
-  util::ThreadPool* pool =
-      options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
-  bool sequential =
-      options.threads <= 1 ||
-      uni.size() < 2 * static_cast<size_t>(options.threads) ||
-      pool->OnWorkerThread();
-
-  std::vector<TopKHeap> merged(nq);
-  if (sequential) {
-    similarity::EvaluatorCache local_scratch;
-    similarity::EvaluatorCache* scratch =
-        options.scratch != nullptr ? options.scratch : &local_scratch;
-    std::vector<int64_t> scanned(nq, 0);
-    std::vector<int64_t> lb_skipped(nq, 0);
-    std::vector<int64_t> dp_abandoned(nq, 0);
-    if (!uni.empty()) {
-      scan_range(0, uni.size(), merged, scanned, lb_skipped, dp_abandoned,
-                 scratch);
-    }
-    for (size_t q = 0; q < nq; ++q) {
-      reports[q].trajectories_scanned = scanned[q];
-      reports[q].lb_skipped = lb_skipped[q];
-      reports[q].dp_abandoned = dp_abandoned[q];
-    }
-  } else {
-    // Same partitioned-scan shape as Query(): one task per requested
-    // thread, per-partition heaps and counters, deterministic EntryBetter
-    // merge afterwards.
-    size_t workers = static_cast<size_t>(options.threads);
-    std::vector<std::vector<TopKHeap>> heaps(workers);
-    std::vector<std::vector<int64_t>> scanned(workers);
-    std::vector<std::vector<int64_t>> lb_skipped(workers);
-    std::vector<std::vector<int64_t>> dp_abandoned(workers);
-    std::vector<std::future<void>> futures;
-    size_t chunk = (uni.size() + workers - 1) / workers;
-    for (size_t w = 0; w < workers; ++w) {
-      size_t lo = w * chunk;
-      size_t hi = std::min(uni.size(), lo + chunk);
-      if (lo >= hi) break;
-      heaps[w].resize(nq);
-      scanned[w].assign(nq, 0);
-      lb_skipped[w].assign(nq, 0);
-      dp_abandoned[w].assign(nq, 0);
-      futures.push_back(pool->Submit([&, lo, hi, w] {
-        similarity::EvaluatorCache chunk_scratch;
-        scan_range(lo, hi, heaps[w], scanned[w], lb_skipped[w],
-                   dp_abandoned[w], &chunk_scratch);
-      }));
-    }
-    // Drain every future before propagating any failure (see Query()).
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    for (size_t w = 0; w < workers; ++w) {
-      if (heaps[w].empty()) continue;  // unstarted tail partition
-      for (size_t q = 0; q < nq; ++q) {
-        reports[q].trajectories_scanned += scanned[w][q];
-        reports[q].lb_skipped += lb_skipped[w][q];
-        reports[q].dp_abandoned += dp_abandoned[w][q];
-        while (!heaps[w][q].empty()) {
-          OfferEntry(merged[q], queries[q].k, heaps[w][q].top());
-          heaps[w][q].pop();
-        }
-      }
-    }
-  }
-
-  double seconds = timer.ElapsedSeconds();
-  for (size_t q = 0; q < nq; ++q) {
-    reports[q].results = ExtractAscending(merged[q]);
-    if (queries[q].cancel != nullptr &&
-        queries[q].cancel->load(std::memory_order_relaxed)) {
-      reports[q].status = util::Status::Cancelled("query cancelled mid-scan");
-    } else if (expired[q].load(std::memory_order_relaxed)) {
-      reports[q].status = util::Status::DeadlineExceeded(
-          "deadline expired mid-scan (partial results)");
-    }
-    reports[q].seconds = seconds;
+  QueryOptions qo;
+  qo.index_margin = options.index_margin;
+  qo.threads = options.threads;
+  qo.pool = options.pool;
+  qo.scratch = options.scratch;
+  qo.prune = options.prune;
+  std::vector<QueryReport> reports;
+  reports.reserve(queries.size());
+  for (const BatchedQueryView& view : queries) {
+    qo.k = view.k;
+    qo.filter = view.filter;
+    qo.cancel = view.cancel;
+    qo.deadline = view.deadline;
+    reports.push_back(Query(view.points, search, qo));
   }
   return reports;
 }

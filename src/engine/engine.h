@@ -140,36 +140,32 @@ struct QueryOptions {
       std::chrono::steady_clock::time_point::max();
 };
 
-/// One query of a batched scan (SimSubEngine::QueryBatch). The points span
-/// and the cancel flag (when set) must stay valid until the batch returns.
+/// One query of SimSubEngine::QueryBatch. The points span and the cancel
+/// flag (when set) must stay valid until the batch returns.
 struct BatchedQueryView {
   std::span<const geo::Point> points;
   int k = 1;
-  /// Pruning filter for THIS query (batches may mix filters: the serving
-  /// layer plans per query).
+  /// Pruning filter for THIS query (a batch may mix filters).
   PruningFilter filter = PruningFilter::kNone;
   /// Same contracts as QueryOptions::cancel / QueryOptions::deadline, per
   /// query: a tripped flag or an expired clock stops only this query (its
   /// report comes back Cancelled / DeadlineExceeded with partial results);
-  /// the rest of the batch keeps scanning.
+  /// the queries after it still run.
   const std::atomic<bool>* cancel = nullptr;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 };
 
-/// Execution knobs for SimSubEngine::QueryBatch (the subset of QueryOptions
-/// that is batch-wide rather than per-query).
+/// Execution knobs for SimSubEngine::QueryBatch: the subset of QueryOptions
+/// that is batch-wide rather than per-query, passed to every Query call.
 struct BatchQueryOptions {
   double index_margin = 0.0;
-  /// Scan partitions over the candidate union; > 1 runs them on `pool` (or
-  /// the shared process pool when null). 1 scans inline.
+  /// Scan partitions per query, as QueryOptions::threads / ::pool.
   int threads = 1;
   util::ThreadPool* pool = nullptr;
-  /// Caller-owned evaluator scratch for the sequential path (parallel
-  /// partitions keep their own). Null allocates a transient cache.
+  /// As QueryOptions::scratch; reused by every query of the batch.
   similarity::EvaluatorCache* scratch = nullptr;
-  /// Per-query lower-bound cascade, exactly as QueryOptions::prune (one
-  /// shared best-kth bound per query, bit-identical results either way).
+  /// As QueryOptions::prune.
   bool prune = true;
 };
 
@@ -212,19 +208,10 @@ class SimSubEngine {
                     const algo::SubtrajectorySearch& search,
                     const QueryOptions& options) const;
 
-  /// Runs several queries through ONE scan of the database: the candidate
-  /// sets are unioned, and every trajectory is searched against all queries
-  /// that want it while its columns are hot in cache (the multi-query
-  /// tiling behind service::QueryService::SubmitBatch). reports[i] answers
-  /// queries[i] and is bit-identical to Query(queries[i].points, search,
-  /// ...) with the matching per-query options, at any thread count: each
-  /// query keeps its own candidate order (ascending ordinal, same as the
-  /// one-at-a-time scan), its own top-k heap and its own shared best-kth
-  /// bound, and pruning only ever skips candidates provably worse than k
-  /// already-found entries. Per-query `seconds` reports the whole batch
-  /// scan's elapsed time (the scan is shared, so per-query attribution is
-  /// not meaningful). All queries run against the same `search`; batches
-  /// mixing measures or algorithms must be split by the caller.
+  /// Runs several queries against the same `search`: one Query call per
+  /// view, in order, with that view's k, filter, cancel and deadline and
+  /// the batch-wide options. reports[i] is exactly Query's report for
+  /// queries[i], so its `seconds` covers that query alone.
   std::vector<QueryReport> QueryBatch(
       std::span<const BatchedQueryView> queries,
       const algo::SubtrajectorySearch& search,

@@ -43,15 +43,6 @@ std::string SpecKey(const QuerySpec& spec) {
   return spec.measure + buf + spec.algorithm + "|" + a.rls_policy_path;
 }
 
-/// Whether a spec can ride a SubmitBatch tile. Excluded: "topk-sub" (no
-/// subtrajectory search — the engine path differs), "random-s" (a fresh
-/// search per execution, not shareable across a tile), and in-memory RLS
-/// policies (never cached, so tile-mates cannot share the resolution).
-bool BatchableSpec(const QuerySpec& spec) {
-  return spec.algorithm != "topk-sub" && spec.algorithm != "random-s" &&
-         spec.algorithm_options.rls_policy == nullptr;
-}
-
 }  // namespace
 
 /// Scratch for the calling thread: a pool worker uses its own slot (no
@@ -358,87 +349,6 @@ engine::QueryReport QueryService::ServeSpec(
   return report;
 }
 
-void QueryService::ServeTile(
-    const std::vector<QuerySpec>& specs,
-    std::vector<std::promise<engine::QueryReport>>& promises,
-    std::chrono::steady_clock::time_point submitted) {
-  const size_t n = specs.size();
-  auto started = std::chrono::steady_clock::now();
-  std::vector<engine::QueryReport> reports(n);
-  std::vector<std::chrono::steady_clock::time_point> deadlines(
-      n, std::chrono::steady_clock::time_point::max());
-  std::shared_ptr<const Resolved> resolved;
-  std::vector<size_t> live;  // tile members that passed preflight
-  live.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    reports[i].queue_seconds = SecondsSince(submitted, started);
-    auto r =
-        PreflightSpec(specs[i], submitted, started, &reports[i], &deadlines[i]);
-    if (r == nullptr) continue;  // refusal recorded in reports[i]
-    // Tile members share one resolution key, so every successful preflight
-    // yields the same cached entry (or an identical construction).
-    resolved = std::move(r);
-    live.push_back(i);
-  }
-
-  bool executed = false;
-#if SIMSUB_FAILPOINTS_COMPILED
-  if (!live.empty()) {
-    // Same scratch-lease fault-injection site as ServeSpec, failing the
-    // whole tile (one lease serves it).
-    if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
-      for (size_t i : live) {
-        reports[i].status = fp;
-        stats_.failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      executed = true;
-    }
-  }
-#endif
-  if (!live.empty() && !executed) {
-    SIMSUB_CHECK(resolved->search != nullptr);  // grouping excludes the rest
-    // Per-query planning (the planner is a pure function of query and
-    // database statistics, so planning here matches the one-spec path).
-    std::vector<PlanDecision> plans(live.size());
-    std::vector<engine::BatchedQueryView> views(live.size());
-    for (size_t j = 0; j < live.size(); ++j) {
-      const QuerySpec& spec = specs[live[j]];
-      if (spec.filter.has_value()) {
-        plans[j].filter = *spec.filter;
-        plans[j].estimated_selectivity = -1.0;
-        plans[j].reason = "explicit filter";
-      } else {
-        plans[j] = planner_.Plan(spec.points, options_.index_margin);
-      }
-      views[j].points = spec.points;
-      views[j].k = spec.k;
-      views[j].filter = plans[j].filter;
-      views[j].cancel = spec.cancel;
-      views[j].deadline = deadlines[live[j]];
-    }
-    engine::BatchQueryOptions bo;
-    bo.index_margin = options_.index_margin;
-    bo.threads = 1;  // tiles parallelize across workers, not within
-    bo.prune = options_.prune && specs[live[0]].prune;  // grouping invariant
-    ScratchLease lease(*this);
-    bo.scratch = &lease.get();
-    std::vector<engine::QueryReport> batch =
-        engine_.QueryBatch(views, *resolved->search, bo);
-    for (size_t j = 0; j < live.size(); ++j) {
-      const size_t i = live[j];
-      double queue_seconds = reports[i].queue_seconds;
-      reports[i] = std::move(batch[j]);
-      reports[i].queue_seconds = queue_seconds;
-      reports[i].planned_selectivity = plans[j].estimated_selectivity;
-      reports[i].plan_reason = plans[j].reason;
-      CountOutcome(reports[i]);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    promises[i].set_value(std::move(reports[i]));
-  }
-}
-
 std::future<engine::QueryReport> QueryService::Submit(QuerySpec spec) {
   auto promise = std::make_shared<std::promise<engine::QueryReport>>();
   std::future<engine::QueryReport> future = promise->get_future();
@@ -459,60 +369,9 @@ std::future<engine::QueryReport> QueryService::Submit(QuerySpec spec) {
 
 std::vector<std::future<engine::QueryReport>> QueryService::SubmitBatch(
     std::span<const QuerySpec> specs) {
-  std::vector<std::future<engine::QueryReport>> futures(specs.size());
-  auto submitted = std::chrono::steady_clock::now();
-  // Group batchable specs by resolution key + prune flag: each group shares
-  // one resolved search, so its queries can ride a multi-query tiled engine
-  // scan. Everything else (topk-sub, random-s, in-memory RLS policies —
-  // see BatchableSpec) goes through the one-spec path, as do singleton
-  // tiles, where batching buys nothing.
-  const bool tiling = options_.batch_tile > 1;
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (tiling && BatchableSpec(specs[i])) {
-      groups[SpecKey(specs[i]) + (specs[i].prune ? "#p1" : "#p0")]
-          .push_back(i);
-    } else {
-      futures[i] = Submit(specs[i]);
-    }
-  }
-  const size_t tile_size = static_cast<size_t>(options_.batch_tile);
-  struct Tile {
-    std::vector<QuerySpec> specs;
-    std::vector<std::promise<engine::QueryReport>> promises;
-  };
-  for (auto& [key, members] : groups) {
-    for (size_t lo = 0; lo < members.size(); lo += tile_size) {
-      const size_t hi = std::min(members.size(), lo + tile_size);
-      if (hi - lo == 1) {
-        futures[members[lo]] = Submit(specs[members[lo]]);
-        continue;
-      }
-      // Specs are copied into the tile exactly as Submit copies its spec:
-      // the caller's points spans / cancel flags stay borrowed.
-      auto tile = std::make_shared<Tile>();
-      tile->specs.reserve(hi - lo);
-      tile->promises.resize(hi - lo);
-      for (size_t m = lo; m < hi; ++m) {
-        tile->specs.push_back(specs[members[m]]);
-        futures[members[m]] = tile->promises[m - lo].get_future();
-      }
-      pool_->Submit([this, tile, submitted] {
-        try {
-          ServeTile(tile->specs, tile->promises, submitted);
-        } catch (...) {
-          // Propagate through every still-unset promise (a throw mid-tile
-          // leaves the already-fulfilled ones alone).
-          for (auto& p : tile->promises) {
-            try {
-              p.set_exception(std::current_exception());
-            } catch (const std::future_error&) {
-            }
-          }
-        }
-      });
-    }
-  }
+  std::vector<std::future<engine::QueryReport>> futures;
+  futures.reserve(specs.size());
+  for (const QuerySpec& spec : specs) futures.push_back(Submit(spec));
   stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
   return futures;
 }

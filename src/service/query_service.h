@@ -78,15 +78,6 @@ struct ServiceOptions {
   bool build_inverted_grid = true;
   int inverted_grid_cols = 64;
   int inverted_grid_rows = 64;
-  /// Queries per batched scan tile in SubmitBatch. Batchable specs that
-  /// share a resolution key (same measure/algorithm/options and prune
-  /// flag) are grouped and served through the engine's multi-query tiled
-  /// scan (SimSubEngine::QueryBatch) in tiles of this many queries — one
-  /// pool task per tile, so tiles run concurrently across workers while
-  /// each tile amortizes every trajectory load over its queries. <= 1
-  /// disables tiling (every spec becomes its own Submit). Results are
-  /// bit-identical either way.
-  int batch_tile = 8;
   QueryPlanner::Options planner;
 };
 
@@ -153,12 +144,15 @@ class QueryService {
   /// through to the worker (pass a temporary and nothing is copied).
   std::future<engine::QueryReport> Submit(QuerySpec spec);
 
-  /// Submits every spec and returns their futures in order (futures[i]
-  /// answers specs[i]). Results are bit-identical to calling RunOne on each
-  /// spec sequentially, whatever the worker count or tile size: specs that
-  /// share a resolution key ride a multi-query tiled engine scan
-  /// (ServiceOptions::batch_tile) that answers each of them exactly as a
-  /// one-at-a-time scan would; the rest go through the one-spec path.
+  /// Calls Submit for every spec — one pool task per spec — and returns
+  /// the futures in order (futures[i] answers specs[i]); counts one batch
+  /// in stats().batches_served. Results are bit-identical to calling RunOne
+  /// on each spec sequentially, whatever the worker count, and every spec
+  /// keeps its own outcome: a refusal, fault, cancellation or deadline hits
+  /// that spec alone. Specs are not grouped into shared scans: with a task
+  /// per spec an idle worker takes any queued spec, so a batch drains in
+  /// about its total work over the worker count instead of waiting on its
+  /// largest group.
   std::vector<std::future<engine::QueryReport>> SubmitBatch(
       std::span<const QuerySpec> specs);
 
@@ -236,8 +230,8 @@ class QueryService {
       const QuerySpec& spec,
       std::chrono::steady_clock::time_point submitted);
 
-  /// The refusal half of the request lifecycle, shared by ServeSpec and
-  /// ServeTile: cancel / queue-deadline checks, validation, resolution.
+  /// The refusal half of ServeSpec's request lifecycle: cancel /
+  /// queue-deadline checks, validation, resolution.
   /// Returns null when the request never runs — report->status is set and
   /// the refusal is already counted; otherwise returns the resolution and
   /// writes the absolute execution deadline (anchored at `submitted`) to
@@ -249,19 +243,10 @@ class QueryService {
       engine::QueryReport* report,
       std::chrono::steady_clock::time_point* deadline);
 
-  /// Post-execution stats bookkeeping shared by ServeSpec and ServeTile:
-  /// OK counts as served (plus the per-report cascade counters), Cancelled
-  /// / DeadlineExceeded / anything else bump their respective counters.
+  /// ServeSpec's post-execution stats bookkeeping: OK counts as served
+  /// (plus the per-report cascade counters), Cancelled / DeadlineExceeded /
+  /// anything else bump their respective counters.
   void CountOutcome(const engine::QueryReport& report);
-
-  /// One SubmitBatch tile, executed on a pool worker: preflights every
-  /// spec, runs the survivors through one batched engine scan (inline on
-  /// this worker — tiles parallelize across workers, not within), and
-  /// fulfills promises[i] with specs[i]'s report. All specs share one
-  /// resolution key and the same prune flag (the grouping invariant).
-  void ServeTile(const std::vector<QuerySpec>& specs,
-                 std::vector<std::promise<engine::QueryReport>>& promises,
-                 std::chrono::steady_clock::time_point submitted);
 
   /// `scratch` may be null only in topk_mode (whose engine path takes no
   /// evaluator cache); the other paths require it. `deadline` is the

@@ -1,11 +1,15 @@
-// SubmitBatch's multi-query tiled scan must be BIT-IDENTICAL to serving
-// each spec alone: the property test sweeps seeds x measures x prune
-// on/off x worker counts with a tiny tile size (so every batch spans
-// several tiles), and every distance comparison below is an exact double
-// EXPECT_EQ. This is the end-to-end determinism contract the CI TSan job
-// and the isa-matrix legs both lean on.
+// SubmitBatch (one Submit, so one pool task, per spec) must be
+// BIT-IDENTICAL to serving each spec alone through RunOne, and each spec
+// must keep its own outcome: one spec's fault, cancellation or expired
+// deadline never touches its batchmates. The property test sweeps seeds x
+// measures x prune on/off x worker counts, the engine test pins
+// SimSubEngine::QueryBatch (one Query per view) to Query, and every
+// distance comparison below is an exact double EXPECT_EQ. This is the
+// end-to-end determinism contract the CI TSan job and the isa-matrix legs
+// both lean on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <string>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "engine/engine.h"
 #include "service/query_service.h"
 #include "service/query_spec.h"
+#include "util/failpoint.h"
 
 namespace simsub::service {
 namespace {
@@ -45,7 +50,6 @@ TEST(QueryBatchTest, SubmitBatchTilingMatchesRunOneBitwise) {
         ServiceOptions options;
         options.threads = threads;
         options.prune = prune;
-        options.batch_tile = 3;  // 9 specs -> 3 tiles per group
         data::Dataset copy = d;
         QueryService service(
             engine::SimSubEngine(std::move(copy.trajectories)), options);
@@ -83,7 +87,6 @@ TEST(QueryBatchTest, MixedGroupsAndUnbatchableSpecsAllAnswer) {
   auto workload = data::SampleWorkload(d, 6, 4701);
   ServiceOptions options;
   options.threads = 4;
-  options.batch_tile = 2;
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        options);
 
@@ -138,7 +141,6 @@ TEST(QueryBatchTest, TileDisabledFallsBackToPerSpecSubmit) {
   auto workload = data::SampleWorkload(d, 4, 4801);
   ServiceOptions options;
   options.threads = 2;
-  options.batch_tile = 1;  // tiling off
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        options);
   std::vector<QuerySpec> specs;
@@ -154,6 +156,80 @@ TEST(QueryBatchTest, TileDisabledFallsBackToPerSpecSubmit) {
     engine::QueryReport want = service.RunOne(specs[i]);
     ExpectSameReport(got, want, "spec=" + std::to_string(i));
   }
+}
+
+// Eight same-key specs in one batch on four workers: a one-shot scratch
+// fault, a spec cancelled before submission and a spec whose deadline has
+// always passed by dequeue each hit their own spec only, and the other five
+// answer exactly as RunOne does.
+TEST(QueryBatchTest, SubmitBatchIsolatesEachSpecsOutcome) {
+  if (!util::FailpointsCompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  util::ClearFailpoints();
+  data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 30, 5000);
+  auto workload = data::SampleWorkload(d, 8, 5001);
+  ServiceOptions options;
+  options.threads = 4;
+  QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
+                       options);
+
+  std::vector<QuerySpec> specs;
+  for (const auto& pair : workload) {
+    QuerySpec spec;
+    spec.points = pair.query.View();
+    spec.k = 3;
+    specs.push_back(spec);
+  }
+  ASSERT_EQ(specs.size(), 8u);
+  const std::atomic<bool> cancel{true};
+  specs[2].cancel = &cancel;
+  // 1e-9 ms casts to 0 ns, so the deadline equals the submit time and has
+  // always expired by the time a worker dequeues the spec.
+  specs[5].deadline_ms = 1e-9;
+
+  ASSERT_TRUE(util::SetFailpoint("service.scratch", "error@once").ok());
+  auto futures = service.SubmitBatch(specs);
+  ASSERT_EQ(futures.size(), specs.size());
+  std::vector<engine::QueryReport> got;
+  for (auto& f : futures) got.push_back(f.get());
+  util::ClearFailpoints();
+  const ServiceStats stats = service.stats();
+
+  int io_errors = 0;
+  int cancelled = 0;
+  int expired = 0;
+  int served = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const std::string tag = "spec=" + std::to_string(i);
+    switch (got[i].status.code()) {
+      case util::StatusCode::kIOError:
+        ++io_errors;
+        EXPECT_NE(got[i].status.message().find("service.scratch"),
+                  std::string::npos)
+            << tag;
+        break;
+      case util::StatusCode::kCancelled:
+        ++cancelled;
+        EXPECT_EQ(i, 2u);
+        break;
+      case util::StatusCode::kDeadlineExceeded:
+        ++expired;
+        EXPECT_EQ(i, 5u);
+        break;
+      case util::StatusCode::kOk:
+        ++served;
+        ExpectSameReport(got[i], service.RunOne(specs[i]), tag);
+        break;
+      default:
+        ADD_FAILURE() << tag << ": " << got[i].status.ToString();
+    }
+  }
+  EXPECT_EQ(io_errors, 1);
+  EXPECT_EQ(cancelled, 1);
+  EXPECT_EQ(expired, 1);
+  EXPECT_EQ(served, 5);
+  EXPECT_EQ(stats.queries_served + stats.deadline_expired + stats.cancelled +
+                stats.rejected + stats.failed,
+            8);
 }
 
 // Direct engine-level property: QueryBatch at several thread counts equals
