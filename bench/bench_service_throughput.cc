@@ -6,7 +6,7 @@
 //
 // Checks two acceptance properties and exits non-zero when either fails:
 //   1. the batch path is at least --min_speedup times faster end-to-end;
-//   2. RunBatch results are bit-identical to serving the same queries
+//   2. SubmitBatch results are bit-identical to serving the same specs
 //      sequentially through QueryService::RunOne (determinism under
 //      concurrency).
 // The pruned service path may return different (approximate) answers than
@@ -97,29 +97,40 @@ int main(int argc, char** argv) {
   service::QueryService service(
       engine::SimSubEngine(std::move(dataset.trajectories)), service_options);
 
-  std::vector<service::BatchQuery> batch;
+  std::vector<service::QuerySpec> batch;
   batch.reserve(workload.size());
   for (const auto& pair : workload) {
-    batch.push_back(service::BatchQuery{pair.query.View(), k, std::nullopt});
+    service::QuerySpec spec;
+    spec.points = pair.query.View();
+    spec.measure = measure_name;
+    spec.algorithm = "exacts";
+    spec.k = k;
+    batch.push_back(spec);
   }
 
   timer.Restart();
-  std::vector<engine::QueryReport> batch_reports =
-      service.RunBatch(batch, exact);
+  std::vector<engine::QueryReport> batch_reports;
+  batch_reports.reserve(batch.size());
+  for (auto& future : service.SubmitBatch(batch)) {
+    batch_reports.push_back(future.get());
+  }
   double batch_seconds = timer.ElapsedSeconds();
   // Snapshot before the reference run so the counters describe the batch.
   service::ServiceStats stats = service.stats();
 
-  // Reference run for the determinism check: the same queries, one at a
+  // Reference run for the determinism check: the same specs, one at a
   // time, on the calling thread.
   std::vector<engine::QueryReport> sequential_reports;
-  for (const auto& q : batch) sequential_reports.push_back(service.RunOne(q, exact));
+  for (const auto& spec : batch) {
+    sequential_reports.push_back(service.RunOne(spec));
+  }
 
   bool identical = true;
   for (size_t i = 0; i < batch_reports.size() && identical; ++i) {
     const auto& a = batch_reports[i];
     const auto& b = sequential_reports[i];
-    identical = a.results.size() == b.results.size() &&
+    identical = a.status.ok() && b.status.ok() &&
+                a.results.size() == b.results.size() &&
                 a.filter_used == b.filter_used &&
                 a.trajectories_scanned == b.trajectories_scanned;
     for (size_t j = 0; identical && j < a.results.size(); ++j) {
@@ -201,7 +212,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out.c_str());
 
   if (!identical) {
-    std::fprintf(stderr, "FAIL: RunBatch differs from sequential execution\n");
+    std::fprintf(stderr,
+                 "FAIL: SubmitBatch differs from sequential execution\n");
     return 1;
   }
   if (min_speedup > 0 && speedup < min_speedup) {

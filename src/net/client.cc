@@ -137,8 +137,7 @@ util::Status Client::ReconnectOnce() {
 }
 
 bool Client::BackoffOrGiveUp(
-    int* attempt,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    int* attempt, std::chrono::steady_clock::time_point deadline,
     util::Status* status) {
   if (*attempt >= options_.max_retries) return false;
   ++*attempt;
@@ -150,15 +149,13 @@ bool Client::BackoffOrGiveUp(
   }
   base = std::min(base, static_cast<double>(options_.backoff_max_ms));
   const double sleep_ms = base / 2.0 + rng_.Uniform() * base / 2.0;
-  if (deadline.has_value()) {
-    const auto wake = std::chrono::steady_clock::now() +
-                      std::chrono::duration<double, std::milli>(sleep_ms);
-    if (wake >= *deadline) {
-      *status = util::Status::DeadlineExceeded(
-          "retry abandoned, deadline_ms exhausted; last transport error: " +
-          status->message());
-      return false;
-    }
+  const auto wake = std::chrono::steady_clock::now() +
+                    std::chrono::duration<double, std::milli>(sleep_ms);
+  if (wake >= deadline) {
+    *status = util::Status::DeadlineExceeded(
+        "retry abandoned, deadline_ms exhausted; last transport error: " +
+        status->message());
+    return false;
   }
   if (sleep_ms >= 1.0) ::poll(nullptr, 0, static_cast<int>(sleep_ms));
   ++stats_.retries;
@@ -167,12 +164,8 @@ bool Client::BackoffOrGiveUp(
 
 util::Result<engine::QueryReport> Client::Query(
     const service::QuerySpec& spec) {
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (spec.deadline_ms > 0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::milli>(spec.deadline_ms));
-  }
+  const auto deadline = service::DeadlineAfter(
+      std::chrono::steady_clock::now(), spec.deadline_ms);
   int attempt = 0;
   for (;;) {
     if (fd_ < 0) {

@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -122,10 +121,10 @@ class Client {
   /// Spends one unit of retry budget: sleeps the jittered backoff and
   /// returns true to retry. Returns false — updating `status` to
   /// DeadlineExceeded when the deadline is what stopped it — when the
-  /// budget is exhausted or the sleep would cross `deadline`.
+  /// budget is exhausted or the sleep would cross `deadline`
+  /// (time_point::max() = no deadline).
   [[nodiscard]] bool BackoffOrGiveUp(
-      int* attempt,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
+      int* attempt, std::chrono::steady_clock::time_point deadline,
       util::Status* status);
 
   int fd_ = -1;

@@ -1,6 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -220,45 +221,45 @@ engine::QueryReport QueryService::ExecuteSpec(
   return report;
 }
 
-std::shared_ptr<const QueryService::Resolved> QueryService::PreflightSpec(
-    const QuerySpec& spec, std::chrono::steady_clock::time_point submitted,
-    std::chrono::steady_clock::time_point started, engine::QueryReport* report,
-    std::chrono::steady_clock::time_point* deadline) {
+engine::QueryReport QueryService::ServeSpec(
+    const QuerySpec& spec, std::chrono::steady_clock::time_point submitted) {
+  auto started = std::chrono::steady_clock::now();
+  engine::QueryReport report;
+  report.queue_seconds = SecondsSince(submitted, started);
+  // Every refusal answers without running and counts itself in `counter`.
+  auto refuse = [&report](util::Status status, std::atomic<int64_t>& counter) {
+    report.status = std::move(status);
+    counter.fetch_add(1, std::memory_order_relaxed);
+    return report;
+  };
+
 #if SIMSUB_FAILPOINTS_COMPILED
   // Fault-injection site for the whole submit path: a fired policy refuses
   // the request with a typed error before any validation or engine work.
   if (util::Status fp = util::FailpointFire("service.submit"); !fp.ok()) {
-    report->status = std::move(fp);
-    stats_.failed.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return refuse(std::move(fp), stats_.failed);
   }
 #endif
 
   if (spec.cancel != nullptr &&
       spec.cancel->load(std::memory_order_relaxed)) {
-    report->status = util::Status::Cancelled("request cancelled in queue");
-    stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return refuse(util::Status::Cancelled("request cancelled in queue"),
+                  stats_.cancelled);
   }
   // Absolute deadline anchored at submit time. It is enforced in two
   // places: here (the request expired while queued — cheapest possible
   // refusal) and inside the engine scan via ExecuteSpec (the request
   // started on time but ran long — stops at per-trajectory granularity
   // with partial results). Both come back as DeadlineExceeded.
-  if (spec.deadline_ms > 0.0) {
-    *deadline =
-        submitted + std::chrono::duration_cast<std::chrono::steady_clock::
-                                                   duration>(
-                        std::chrono::duration<double, std::milli>(
-                            spec.deadline_ms));
-  }
-  if (started >= *deadline) {
-    report->status = util::Status::DeadlineExceeded(
-        "deadline expired after " +
-        std::to_string(report->queue_seconds * 1e3) + " ms in queue (deadline " +
-        std::to_string(spec.deadline_ms) + " ms)");
-    stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+  const auto deadline = DeadlineAfter(submitted, spec.deadline_ms);
+  if (started >= deadline) {
+    return refuse(
+        util::Status::DeadlineExceeded(
+            "deadline expired after " +
+            std::to_string(report.queue_seconds * 1e3) +
+            " ms in queue (deadline " + std::to_string(spec.deadline_ms) +
+            " ms)"),
+        stats_.deadline_expired);
   }
 
   util::Status invalid;
@@ -270,8 +271,9 @@ std::shared_ptr<const QueryService::Resolved> QueryService::PreflightSpec(
   } else if (spec.min_size < 1) {
     invalid = util::Status::InvalidArgument(
         "spec.min_size must be >= 1, got " + std::to_string(spec.min_size));
-  } else if (spec.deadline_ms < 0.0) {
-    invalid = util::Status::InvalidArgument("spec.deadline_ms must be >= 0");
+  } else if (!std::isfinite(spec.deadline_ms) || spec.deadline_ms < 0.0) {
+    invalid = util::Status::InvalidArgument(
+        "spec.deadline_ms must be finite and >= 0");
   } else if (spec.filter == engine::PruningFilter::kRTree &&
              !engine_.has_index()) {
     invalid = util::Status::InvalidArgument(
@@ -283,28 +285,39 @@ std::shared_ptr<const QueryService::Resolved> QueryService::PreflightSpec(
         "spec.filter = grid but the service built no inverted grid "
         "(ServiceOptions::build_inverted_grid)");
   }
-  if (!invalid.ok()) {
-    report->status = std::move(invalid);
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+  if (!invalid.ok()) return refuse(std::move(invalid), stats_.rejected);
 
-  auto resolved = ResolveSpec(spec);
-  if (!resolved.ok()) {
-    report->status = resolved.status();
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  return *resolved;
-}
+  auto resolution = ResolveSpec(spec);
+  if (!resolution.ok()) return refuse(resolution.status(), stats_.rejected);
+  const Resolved& resolved = **resolution;
 
-void QueryService::CountOutcome(const engine::QueryReport& report) {
-  if (report.status.ok()) {
-    stats_.queries_served.fetch_add(1, std::memory_order_relaxed);
-    CountReport(report);
-    return;
+  double queue_seconds = report.queue_seconds;
+  if (resolved.topk_mode) {
+    // The topk-sub engine path takes no evaluator cache: skip the lease
+    // (and its lock round-trip / possible allocation on foreign threads).
+    report = ExecuteSpec(spec, resolved, nullptr, deadline);
+  } else {
+#if SIMSUB_FAILPOINTS_COMPILED
+    // Simulates scratch-lease acquisition failure (e.g. allocation).
+    if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
+      return refuse(std::move(fp), stats_.failed);
+    }
+#endif
+    ScratchLease lease(*this);
+    report = ExecuteSpec(spec, resolved, &lease.get(), deadline);
   }
+  report.queue_seconds = queue_seconds;
+
   switch (report.status.code()) {
+    case util::StatusCode::kOk:
+      stats_.queries_served.fetch_add(1, std::memory_order_relaxed);
+      stats_.plans[static_cast<size_t>(report.filter_used)].fetch_add(
+          1, std::memory_order_relaxed);
+      stats_.lb_skipped.fetch_add(report.lb_skipped,
+                                  std::memory_order_relaxed);
+      stats_.dp_abandoned.fetch_add(report.dp_abandoned,
+                                    std::memory_order_relaxed);
+      break;
     case util::StatusCode::kCancelled:
       stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -315,37 +328,6 @@ void QueryService::CountOutcome(const engine::QueryReport& report) {
       stats_.failed.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-}
-
-engine::QueryReport QueryService::ServeSpec(
-    const QuerySpec& spec, std::chrono::steady_clock::time_point submitted) {
-  auto started = std::chrono::steady_clock::now();
-  engine::QueryReport report;
-  report.queue_seconds = SecondsSince(submitted, started);
-
-  auto deadline = std::chrono::steady_clock::time_point::max();
-  auto resolved = PreflightSpec(spec, submitted, started, &report, &deadline);
-  if (resolved == nullptr) return report;
-
-  double queue_seconds = report.queue_seconds;
-  if (resolved->topk_mode) {
-    // The topk-sub engine path takes no evaluator cache: skip the lease
-    // (and its lock round-trip / possible allocation on foreign threads).
-    report = ExecuteSpec(spec, *resolved, nullptr, deadline);
-  } else {
-#if SIMSUB_FAILPOINTS_COMPILED
-    // Simulates scratch-lease acquisition failure (e.g. allocation).
-    if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
-      report.status = std::move(fp);
-      stats_.failed.fetch_add(1, std::memory_order_relaxed);
-      return report;
-    }
-#endif
-    ScratchLease lease(*this);
-    report = ExecuteSpec(spec, *resolved, &lease.get(), deadline);
-  }
-  report.queue_seconds = queue_seconds;
-  CountOutcome(report);
   return report;
 }
 
@@ -380,106 +362,6 @@ engine::QueryReport QueryService::RunOne(const QuerySpec& spec) {
   return ServeSpec(spec, std::chrono::steady_clock::now());
 }
 
-engine::QueryReport QueryService::Execute(
-    const BatchQuery& query, const algo::SubtrajectorySearch& search,
-    similarity::EvaluatorCache& scratch) {
-  PlanDecision plan;
-  if (query.filter.has_value()) {
-    plan.filter = *query.filter;
-    plan.estimated_selectivity = -1.0;
-    plan.reason = "explicit filter";
-  } else {
-    plan = planner_.Plan(query.points, options_.index_margin);
-  }
-
-  engine::QueryOptions eo;
-  eo.k = query.k;
-  eo.filter = plan.filter;
-  eo.index_margin = options_.index_margin;
-  eo.threads = 1;  // inter-query parallelism only; the scan stays inline
-  eo.scratch = &scratch;
-  eo.prune = options_.prune;
-  engine::QueryReport report = engine_.Query(query.points, search, eo);
-  report.planned_selectivity = plan.estimated_selectivity;
-  report.plan_reason = plan.reason;
-  return report;
-}
-
-void QueryService::CountPlan(engine::PruningFilter filter) {
-  switch (filter) {
-    case engine::PruningFilter::kNone:
-      stats_.plans_none.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case engine::PruningFilter::kRTree:
-      stats_.plans_rtree.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case engine::PruningFilter::kInvertedGrid:
-      stats_.plans_grid.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-}
-
-void QueryService::CountReport(const engine::QueryReport& report) {
-  CountPlan(report.filter_used);
-  stats_.lb_skipped.fetch_add(report.lb_skipped, std::memory_order_relaxed);
-  stats_.dp_abandoned.fetch_add(report.dp_abandoned,
-                                std::memory_order_relaxed);
-}
-
-std::vector<engine::QueryReport> QueryService::RunBatch(
-    std::span<const BatchQuery> queries,
-    const algo::SubtrajectorySearch& search) {
-  std::vector<engine::QueryReport> results(queries.size());
-  if (pool_->OnWorkerThread()) {
-    // Re-entrant call from one of our own workers (e.g. a task submitted to
-    // pool()): blocking on futures would deadlock behind the caller, so run
-    // the batch inline on this worker's scratch.
-    ScratchLease lease(*this);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = Execute(queries[i], search, lease.get());
-    }
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      futures.push_back(pool_->Submit([this, &queries, &results, &search, i] {
-        ScratchLease lease(*this);
-        results[i] = Execute(queries[i], search, lease.get());
-      }));
-    }
-    // Drain every future before propagating any failure: rethrowing while
-    // later tasks still run would leave them writing through dangling
-    // references into this frame's results/queries.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.queries_served.fetch_add(static_cast<int64_t>(queries.size()),
-                                  std::memory_order_relaxed);
-  for (const auto& report : results) CountReport(report);
-  return results;
-}
-
-engine::QueryReport QueryService::RunOne(
-    const BatchQuery& query, const algo::SubtrajectorySearch& search) {
-  engine::QueryReport report;
-  {
-    ScratchLease lease(*this);
-    report = Execute(query, search, lease.get());
-  }
-  stats_.queries_served.fetch_add(1, std::memory_order_relaxed);
-  CountReport(report);
-  return report;
-}
-
 ServiceStats QueryService::stats() const {
   ServiceStats out;
   out.queries_served = stats_.queries_served.load(std::memory_order_relaxed);
@@ -492,9 +374,9 @@ ServiceStats QueryService::stats() const {
   out.spec_cache_hits = stats_.spec_cache_hits.load(std::memory_order_relaxed);
   out.spec_cache_misses =
       stats_.spec_cache_misses.load(std::memory_order_relaxed);
-  out.plans_none = stats_.plans_none.load(std::memory_order_relaxed);
-  out.plans_rtree = stats_.plans_rtree.load(std::memory_order_relaxed);
-  out.plans_grid = stats_.plans_grid.load(std::memory_order_relaxed);
+  out.plans_none = stats_.plans[0].load(std::memory_order_relaxed);
+  out.plans_rtree = stats_.plans[1].load(std::memory_order_relaxed);
+  out.plans_grid = stats_.plans[2].load(std::memory_order_relaxed);
   out.lb_skipped = stats_.lb_skipped.load(std::memory_order_relaxed);
   out.dp_abandoned = stats_.dp_abandoned.load(std::memory_order_relaxed);
   for (const auto& cache : worker_scratch_) {

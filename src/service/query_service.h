@@ -21,14 +21,14 @@
 // deterministically-seeded instance per execution instead of a shared one).
 //
 // Threading contract: every public method is safe to call from multiple
-// application threads concurrently — Submit/SubmitBatch/RunBatch/RunOne/
-// stats may all overlap. Statistics counters are atomic (stats() is safe
-// to read during a running batch), pool workers own their scratch slot by
-// worker index, and foreign calling threads lease scratch from a
-// mutex-guarded pool. Calling RunBatch from inside one of the service's own
-// pool tasks is safe: it detects the re-entrancy and executes inline
-// instead of deadlocking. Blocking on a Submit() future from inside a pool
-// task is NOT safe (the task would wait on work queued behind itself).
+// application threads concurrently — Submit/SubmitBatch/RunOne/stats may
+// all overlap. Statistics counters are atomic (stats() is safe to read
+// during a running batch), pool workers own their scratch slot by worker
+// index, and foreign calling threads lease scratch from a mutex-guarded
+// pool. Calling RunOne from inside one of the service's own pool tasks is
+// safe: it runs inline on that worker's scratch slot. Blocking on a
+// Submit() future from inside a pool task is NOT safe (the task would wait
+// on work queued behind itself).
 #ifndef SIMSUB_SERVICE_QUERY_SERVICE_H_
 #define SIMSUB_SERVICE_QUERY_SERVICE_H_
 
@@ -36,7 +36,6 @@
 #include <chrono>
 #include <future>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -55,15 +54,6 @@ class CorpusSnapshot;
 }  // namespace simsub::data
 
 namespace simsub::service {
-
-/// One query in a pre-resolved batch (RunBatch with a caller-owned search).
-/// The points span must stay valid until the batch call returns.
-struct BatchQuery {
-  std::span<const geo::Point> points;
-  int k = 10;
-  /// Explicit filter override; nullopt lets the planner decide.
-  std::optional<engine::PruningFilter> filter;
-};
 
 struct ServiceOptions {
   /// Worker pool width; 0 = hardware concurrency.
@@ -160,20 +150,6 @@ class QueryService {
   /// hop, queue_seconds == 0); the reference semantics for Submit.
   engine::QueryReport RunOne(const QuerySpec& spec);
 
-  /// Executes `queries` concurrently on the worker pool with `search` as
-  /// the per-trajectory algorithm — the pre-resolved escape hatch for
-  /// callers that constructed their own search. results[i] answers
-  /// queries[i]; each report carries the filter used, the planner's
-  /// selectivity estimate, and the per-query latency in `seconds`.
-  std::vector<engine::QueryReport> RunBatch(
-      std::span<const BatchQuery> queries,
-      const algo::SubtrajectorySearch& search);
-
-  /// Plans and executes one pre-resolved query inline on the calling
-  /// thread; the reference semantics for RunBatch.
-  engine::QueryReport RunOne(const BatchQuery& query,
-                             const algo::SubtrajectorySearch& search);
-
   /// Snapshot of the cumulative counters. Safe to call at any time,
   /// including while batches are running on other threads.
   ServiceStats stats() const SIMSUB_EXCLUDES(scratch_mu_);
@@ -212,9 +188,8 @@ class QueryService {
     std::atomic<int64_t> failed{0};
     std::atomic<int64_t> spec_cache_hits{0};
     std::atomic<int64_t> spec_cache_misses{0};
-    std::atomic<int64_t> plans_none{0};
-    std::atomic<int64_t> plans_rtree{0};
-    std::atomic<int64_t> plans_grid{0};
+    /// Indexed by PruningFilter value (none, rtree, grid).
+    std::atomic<int64_t> plans[3]{};
     std::atomic<int64_t> lb_skipped{0};
     std::atomic<int64_t> dp_abandoned{0};
   };
@@ -223,30 +198,14 @@ class QueryService {
   [[nodiscard]] util::Result<std::shared_ptr<const Resolved>> ResolveSpec(
       const QuerySpec& spec) SIMSUB_EXCLUDES(resolved_mu_);
 
-  /// The full request lifecycle minus queueing: deadline/cancel checks,
-  /// resolution, planning, execution, stats. `submitted` is when the
-  /// request entered the service (Submit time, or now for RunOne).
+  /// The whole request lifecycle minus queueing, shared by Submit,
+  /// SubmitBatch and RunOne: refusal (failpoint, cancel, queue deadline,
+  /// validation, resolution), planning and execution, and the stats count
+  /// of the outcome. `submitted` is when the request entered the service
+  /// (Submit time, or now for RunOne).
   engine::QueryReport ServeSpec(
       const QuerySpec& spec,
       std::chrono::steady_clock::time_point submitted);
-
-  /// The refusal half of ServeSpec's request lifecycle: cancel /
-  /// queue-deadline checks, validation, resolution.
-  /// Returns null when the request never runs — report->status is set and
-  /// the refusal is already counted; otherwise returns the resolution and
-  /// writes the absolute execution deadline (anchored at `submitted`) to
-  /// *deadline. `started` is the execution start used for the queue-expiry
-  /// check.
-  std::shared_ptr<const Resolved> PreflightSpec(
-      const QuerySpec& spec, std::chrono::steady_clock::time_point submitted,
-      std::chrono::steady_clock::time_point started,
-      engine::QueryReport* report,
-      std::chrono::steady_clock::time_point* deadline);
-
-  /// ServeSpec's post-execution stats bookkeeping: OK counts as served
-  /// (plus the per-report cascade counters), Cancelled / DeadlineExceeded /
-  /// anything else bump their respective counters.
-  void CountOutcome(const engine::QueryReport& report);
 
   /// `scratch` may be null only in topk_mode (whose engine path takes no
   /// evaluator cache); the other paths require it. `deadline` is the
@@ -257,12 +216,6 @@ class QueryService {
       const QuerySpec& spec, const Resolved& resolved,
       similarity::EvaluatorCache* scratch,
       std::chrono::steady_clock::time_point deadline);
-
-  engine::QueryReport Execute(const BatchQuery& query,
-                              const algo::SubtrajectorySearch& search,
-                              similarity::EvaluatorCache& scratch);
-  void CountPlan(engine::PruningFilter filter);
-  void CountReport(const engine::QueryReport& report);
 
   /// Scratch for the calling thread: the worker's own slot on a pool
   /// thread, otherwise a leased cache returned by the RAII lease below.

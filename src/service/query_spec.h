@@ -13,6 +13,7 @@
 #define SIMSUB_SERVICE_QUERY_SPEC_H_
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <span>
 #include <string>
@@ -62,8 +63,9 @@ struct QuerySpec {
   /// DeadlineExceeded report instead of running, and a request that starts
   /// on time but runs past the deadline stops mid-scan at per-trajectory
   /// granularity, returning DeadlineExceeded with the partial results
-  /// accumulated so far (see engine::QueryOptions::deadline). 0 = no
-  /// deadline.
+  /// accumulated so far (see engine::QueryOptions::deadline). Must be
+  /// finite and >= 0; 0 = no deadline, and so is a budget beyond the
+  /// clock's range (see DeadlineAfter).
   double deadline_ms = 0.0;
 
   /// Caller-owned cooperative cancellation flag, checked before execution
@@ -71,6 +73,25 @@ struct QuerySpec {
   /// yields a Cancelled report (partial results, do not use).
   const std::atomic<bool>* cancel = nullptr;
 };
+
+/// The absolute deadline of a request that started at `start` (a
+/// steady_clock reading) with a relative budget of `deadline_ms`:
+/// time_point::max(), i.e. no deadline, for 0, for a budget the clock
+/// cannot represent past `start`, and for the negative, NaN and infinite
+/// budgets a service refuses. Never converts an out-of-range double to an
+/// integer and never overflows the time_point.
+inline std::chrono::steady_clock::time_point DeadlineAfter(
+    std::chrono::steady_clock::time_point start, double deadline_ms) {
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double, std::milli> budget(deadline_ms);
+  // The room comparison runs in double nanoseconds and is false for NaN and
+  // +inf; a budget below the room truncates to integer nanoseconds that
+  // still fit after `start`.
+  if (deadline_ms > 0.0 && budget < Clock::time_point::max() - start) {
+    return start + std::chrono::duration_cast<Clock::duration>(budget);
+  }
+  return Clock::time_point::max();
+}
 
 }  // namespace simsub::service
 

@@ -138,8 +138,6 @@ TEST(EngineSnapshotTest, PlannerSeesIdenticalPersistedStats) {
 }
 
 TEST(EngineSnapshotTest, QueryServiceOverSnapshotMatchesInMemoryService) {
-  similarity::DtwMeasure dtw;
-  algo::ExactS exact(&dtw);
   data::Dataset dataset = data::GenerateDataset(data::DatasetKind::kPorto,
                                                 30, 7);
   auto workload = data::SampleWorkload(dataset, 6, 8);
@@ -154,12 +152,22 @@ TEST(EngineSnapshotTest, QueryServiceOverSnapshotMatchesInMemoryService) {
       SimSubEngine(std::move(dataset.trajectories)), options);
   service::QueryService snap_service(**snapshot, options);
 
-  std::vector<service::BatchQuery> queries;
+  std::vector<service::QuerySpec> specs;
   for (const auto& pair : workload) {
-    queries.push_back(service::BatchQuery{pair.query.View(), 4, std::nullopt});
+    service::QuerySpec spec;  // exact search under DTW
+    spec.points = pair.query.View();
+    spec.k = 4;
+    specs.push_back(spec);
   }
-  auto mem_reports = mem_service.RunBatch(queries, exact);
-  auto snap_reports = snap_service.RunBatch(queries, exact);
+  auto serve = [&specs](service::QueryService& service) {
+    std::vector<QueryReport> reports;
+    for (auto& future : service.SubmitBatch(specs)) {
+      reports.push_back(future.get());
+    }
+    return reports;
+  };
+  auto mem_reports = serve(mem_service);
+  auto snap_reports = serve(snap_service);
   ASSERT_EQ(mem_reports.size(), snap_reports.size());
   for (size_t i = 0; i < mem_reports.size(); ++i) {
     // Identical stats => identical plans => identical candidate sets.

@@ -1,8 +1,9 @@
 // Server admission control and lifecycle (net/server.h): the in-flight
 // window sheds with ResourceExhausted while a slow query is executing,
 // per-client quotas bucket by client_id, the connection cap answers an
-// ERROR and closes, malformed frames are counted and refused, and drain
-// finishes in-flight work then stops accepting.
+// ERROR and closes, malformed frames are counted and refused, drain
+// finishes in-flight work then stops accepting, and a wire deadline_ms
+// outside the clock's range gets a typed answer.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -245,6 +247,34 @@ TEST(ServerTest, DrainFinishesInflightWorkAndStopsAccepting) {
     spec.points = query.View();
     EXPECT_FALSE(late->Query(spec).ok());
   }
+}
+
+TEST(ServerTest, WireDeadlineOutsideTheClockRangeIsTyped) {
+  // deadline_ms crosses the wire as a raw double: a budget past the clock's
+  // range is served with no deadline, and NaN is refused with a typed
+  // report instead of being served or cast to an integer.
+  service::QueryService service = MakeSlowService(/*threads=*/2, 40);
+  geo::Trajectory query = SampleQuery();
+  Server server(service, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = Client::Connect("127.0.0.1", server.port(), {});
+  ASSERT_TRUE(client.ok());
+  service::QuerySpec spec;
+  spec.points = query.View();
+  spec.k = 3;
+
+  spec.deadline_ms = 1e300;
+  auto far = client->Query(spec);
+  ASSERT_TRUE(far.ok()) << far.status().ToString();
+  EXPECT_TRUE(far->status.ok()) << far->status.ToString();
+  EXPECT_FALSE(far->results.empty());
+
+  spec.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  auto nan = client->Query(spec);
+  ASSERT_TRUE(nan.ok()) << nan.status().ToString();
+  EXPECT_EQ(nan->status.code(), util::StatusCode::kInvalidArgument);
+  server.Stop();
 }
 
 TEST(ServerTest, StatzTextCarriesServerAndServiceCounters) {

@@ -1,12 +1,16 @@
 // End-to-end deadline enforcement (QuerySpec::deadline_ms): a deadline
 // expiring MID-EXECUTION stops the scan at per-trajectory granularity and
 // returns DeadlineExceeded with partial results; one expiring in the queue
-// answers without running; and the no-deadline default never pays for a
-// clock read it didn't ask for (same results as before the feature).
+// answers without running; the no-deadline default never pays for a clock
+// read it didn't ask for (same results as before the feature); a budget
+// past the clock's range means no deadline; and a negative, NaN or
+// infinite budget is refused as InvalidArgument.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "data/generator.h"
@@ -108,17 +112,21 @@ TEST(QueryServiceDeadlineTest, GenerousDeadlineCompletesIdentically) {
   engine::QueryReport baseline = service.RunOne(unlimited);
   ASSERT_TRUE(baseline.status.ok());
 
-  QuerySpec bounded = unlimited;
-  bounded.deadline_ms = 60'000.0;
-  engine::QueryReport timed = service.RunOne(bounded);
-  ASSERT_TRUE(timed.status.ok());
+  // A minute, then budgets past the clock's range, which mean no deadline.
+  for (double deadline_ms : {60'000.0, 1e13, 1e300, DBL_MAX}) {
+    SCOPED_TRACE(deadline_ms);
+    QuerySpec bounded = unlimited;
+    bounded.deadline_ms = deadline_ms;
+    engine::QueryReport timed = service.RunOne(bounded);
+    ASSERT_TRUE(timed.status.ok()) << timed.status.ToString();
 
-  ASSERT_EQ(timed.results.size(), baseline.results.size());
-  for (size_t i = 0; i < baseline.results.size(); ++i) {
-    EXPECT_EQ(timed.results[i].trajectory_id,
-              baseline.results[i].trajectory_id);
-    EXPECT_EQ(timed.results[i].range, baseline.results[i].range);
-    EXPECT_EQ(timed.results[i].distance, baseline.results[i].distance);
+    ASSERT_EQ(timed.results.size(), baseline.results.size());
+    for (size_t i = 0; i < baseline.results.size(); ++i) {
+      EXPECT_EQ(timed.results[i].trajectory_id,
+                baseline.results[i].trajectory_id);
+      EXPECT_EQ(timed.results[i].range, baseline.results[i].range);
+      EXPECT_EQ(timed.results[i].distance, baseline.results[i].distance);
+    }
   }
 }
 
@@ -127,9 +135,15 @@ TEST(QueryServiceDeadlineTest, NegativeDeadlineIsInvalidArgument) {
   geo::Trajectory query = SampleQuery();
   QuerySpec spec;
   spec.points = query.View();
-  spec.deadline_ms = -5.0;
-  engine::QueryReport report = service.RunOne(spec);
-  EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double deadline_ms :
+       {-5.0, std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    SCOPED_TRACE(deadline_ms);
+    spec.deadline_ms = deadline_ms;
+    engine::QueryReport report = service.RunOne(spec);
+    EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service.stats().rejected, 4);
 }
 
 }  // namespace

@@ -1,24 +1,44 @@
 // QueryService and QueryPlanner behavior: batch/sequential equivalence,
-// planner decisions, explicit overrides, scratch reuse accounting.
+// planner decisions, explicit overrides, scratch reuse accounting, and
+// re-entrant RunOne from a pool task.
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "algo/exacts.h"
 #include "data/generator.h"
 #include "data/workload.h"
 #include "service/planner.h"
-#include "similarity/dtw.h"
+#include "service/query_spec.h"
 
 namespace simsub::service {
 namespace {
 
-similarity::DtwMeasure kDtw;
-
 data::Dataset SmallDataset() {
   return data::GenerateDataset(data::DatasetKind::kPorto, 40, 4407);
+}
+
+/// Exact search under DTW (QuerySpec's default measure and algorithm).
+QuerySpec ExactSpec(std::span<const geo::Point> points, int k,
+                    std::optional<engine::PruningFilter> filter = {}) {
+  QuerySpec spec;
+  spec.points = points;
+  spec.k = k;
+  spec.filter = filter;
+  return spec;
+}
+
+/// SubmitBatch, then waits for every report in order.
+std::vector<engine::QueryReport> ServeBatch(QueryService& service,
+                                            std::span<const QuerySpec> specs) {
+  std::vector<engine::QueryReport> reports;
+  for (auto& future : service.SubmitBatch(specs)) {
+    reports.push_back(future.get());
+  }
+  return reports;
 }
 
 QueryService MakeService(int threads) {
@@ -35,22 +55,21 @@ TEST(QueryServiceTest, BuildsBothIndexes) {
   EXPECT_TRUE(service.engine().has_inverted_index());
 }
 
-TEST(QueryServiceTest, RunBatchMatchesSequentialExecutionBitwise) {
+TEST(QueryServiceTest, SubmitBatchMatchesSequentialExecutionBitwise) {
   data::Dataset d = SmallDataset();
   auto workload = data::SampleWorkload(d, 12, 4408);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        []{ ServiceOptions o; o.threads = 4; return o; }());
-  algo::ExactS exact(&kDtw);
 
-  std::vector<BatchQuery> queries;
+  std::vector<QuerySpec> specs;
   for (const auto& pair : workload) {
-    queries.push_back(BatchQuery{pair.query.View(), 5, std::nullopt});
+    specs.push_back(ExactSpec(pair.query.View(), 5));
   }
-  std::vector<engine::QueryReport> batch = service.RunBatch(queries, exact);
-  ASSERT_EQ(batch.size(), queries.size());
+  std::vector<engine::QueryReport> batch = ServeBatch(service, specs);
+  ASSERT_EQ(batch.size(), specs.size());
 
-  for (size_t i = 0; i < queries.size(); ++i) {
-    engine::QueryReport one = service.RunOne(queries[i], exact);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    engine::QueryReport one = service.RunOne(specs[i]);
     ASSERT_EQ(batch[i].results.size(), one.results.size()) << "query " << i;
     EXPECT_EQ(batch[i].filter_used, one.filter_used) << "query " << i;
     EXPECT_EQ(batch[i].trajectories_scanned, one.trajectories_scanned);
@@ -66,10 +85,9 @@ TEST(QueryServiceTest, RunBatchMatchesSequentialExecutionBitwise) {
 
 TEST(QueryServiceTest, ExplicitFilterOverridesThePlanner) {
   QueryService service = MakeService(2);
-  algo::ExactS exact(&kDtw);
   const auto& db = service.engine().database();
-  BatchQuery q{db[0].View(), 3, engine::PruningFilter::kNone};
-  engine::QueryReport report = service.RunOne(q, exact);
+  engine::QueryReport report = service.RunOne(
+      ExactSpec(db[0].View(), 3, engine::PruningFilter::kNone));
   EXPECT_EQ(report.filter_used, engine::PruningFilter::kNone);
   EXPECT_EQ(report.planned_selectivity, -1.0);
   EXPECT_STREQ(report.plan_reason, "explicit filter");
@@ -80,9 +98,8 @@ TEST(QueryServiceTest, ExplicitFilterOverridesThePlanner) {
 
 TEST(QueryServiceTest, PlannedQueriesRecordDecisionInReport) {
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  BatchQuery q{service.engine().database()[3].View(), 3, std::nullopt};
-  engine::QueryReport report = service.RunOne(q, exact);
+  engine::QueryReport report =
+      service.RunOne(ExactSpec(service.engine().database()[3].View(), 3));
   EXPECT_GE(report.planned_selectivity, 0.0);
   EXPECT_LE(report.planned_selectivity, 1.0);
   EXPECT_STRNE(report.plan_reason, "");
@@ -93,13 +110,12 @@ TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
   auto workload = data::SampleWorkload(d, 6, 4409);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
                        []{ ServiceOptions o; o.threads = 1; return o; }());
-  algo::ExactS exact(&kDtw);
-  std::vector<BatchQuery> queries;
+  std::vector<QuerySpec> specs;
   for (const auto& pair : workload) {
-    queries.push_back(BatchQuery{pair.query.View(), 2, std::nullopt});
+    specs.push_back(ExactSpec(pair.query.View(), 2));
   }
-  service.RunBatch(queries, exact);
-  service.RunBatch(queries, exact);
+  ServeBatch(service, specs);
+  ServeBatch(service, specs);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches_served, 2);
   EXPECT_EQ(stats.queries_served, 12);
@@ -107,31 +123,27 @@ TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
   EXPECT_GT(stats.evaluator_reuses, stats.evaluator_allocs);
 }
 
-TEST(QueryServiceTest, ReentrantRunBatchFromPoolWorkerDoesNotDeadlock) {
-  // A task on the service's own (width-1) pool calls RunBatch: the service
-  // must detect the re-entrancy and run inline instead of blocking on
-  // futures queued behind the caller.
+TEST(QueryServiceTest, RunOneFromPoolTaskRunsInlineOnThatWorkersScratchSlot) {
+  // A task on the service's own (width-1) pool calls RunOne: it runs inline
+  // on that worker, so nothing waits on work queued behind the caller, and
+  // it uses the worker's own scratch slot instead of leasing a cache.
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  std::vector<BatchQuery> queries = {
-      BatchQuery{service.engine().database()[0].View(), 2, std::nullopt}};
-  std::vector<engine::QueryReport> inner;
-  service.pool()
-      .Submit([&] { inner = service.RunBatch(queries, exact); })
-      .get();
-  ASSERT_EQ(inner.size(), 1u);
-  EXPECT_FALSE(inner[0].results.empty());
+  QuerySpec spec = ExactSpec(service.engine().database()[0].View(), 2);
+  ASSERT_TRUE(service.Submit(spec).get().status.ok());
+  engine::QueryReport inner;
+  service.pool().Submit([&] { inner = service.RunOne(spec); }).get();
+  ASSERT_TRUE(inner.status.ok()) << inner.status.ToString();
+  EXPECT_FALSE(inner.results.empty());
+  // The Submit above left a DTW evaluator in the worker's slot; a leased
+  // cache would have allocated a second one.
+  EXPECT_EQ(service.stats().evaluator_allocs, 1);
 }
 
 TEST(QueryServiceTest, StatsCountPlannerOutcomes) {
   QueryService service = MakeService(1);
-  algo::ExactS exact(&kDtw);
-  service.RunOne(
-      BatchQuery{service.engine().database()[0].View(), 1, std::nullopt},
-      exact);
-  service.RunOne(BatchQuery{service.engine().database()[1].View(), 1,
-                            engine::PruningFilter::kRTree},
-                 exact);
+  service.RunOne(ExactSpec(service.engine().database()[0].View(), 1));
+  service.RunOne(ExactSpec(service.engine().database()[1].View(), 1,
+                           engine::PruningFilter::kRTree));
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries_served, 2);
   EXPECT_EQ(stats.plans_none + stats.plans_rtree + stats.plans_grid, 2);
