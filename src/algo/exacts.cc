@@ -1,50 +1,33 @@
 #include "algo/exacts.h"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 
 #include "util/logging.h"
 
 namespace simsub::algo {
 
-namespace {
-
-// The Algorithm 1 scan, factored out so the plain and the scratch-reusing
-// entry points share one implementation.
-SearchResult ExactScan(similarity::PrefixEvaluator& eval,
-                       std::span<const geo::Point> data) {
-  SearchResult result;
-  const int n = static_cast<int>(data.size());
-  for (int i = 0; i < n; ++i) {
-    double d = eval.Start(data[static_cast<size_t>(i)]);
-    ++result.stats.start_calls;
-    ++result.stats.candidates;
-    if (d < result.distance) {
-      result.distance = d;
-      result.best = geo::SubRange(i, i);
-    }
-    for (int j = i + 1; j < n; ++j) {
-      d = eval.Extend(data[static_cast<size_t>(j)]);
-      ++result.stats.extend_calls;
-      ++result.stats.candidates;
-      if (d < result.distance) {
-        result.distance = d;
-        result.best = geo::SubRange(i, j);
-      }
-    }
-  }
-  return result;
+ExactS::ExactS(const similarity::SimilarityMeasure* measure)
+    : measure_(measure) {
+  SIMSUB_CHECK(measure != nullptr);
 }
 
-// The pruned scan: extensions of a start point are abandoned once the
-// evaluator's lower bound exceeds min(bailout, best-so-far). Candidates
-// skipped that way are strictly worse than the best-so-far (so the returned
-// optimum and its first-in-enumeration-order range are unchanged) or
-// strictly worse than the bailout (so the caller discards them anyway) —
-// see SubtrajectorySearch::Search(.., bailout) for the contract.
-SearchResult ExactScanBounded(similarity::PrefixEvaluator& eval,
-                              std::span<const geo::Point> data,
-                              double bailout) {
+// The Algorithm 1 scan. With a bailout, the extensions of a start point are
+// abandoned once the evaluator's lower bound exceeds min(bailout,
+// best-so-far). Candidates skipped that way are strictly worse than the
+// best-so-far (so the returned optimum and its first-in-enumeration-order
+// range are unchanged) or strictly worse than the bailout (so the caller
+// discards them anyway) — see SubtrajectorySearch::Search(.., bailout) for
+// the contract.
+SearchResult ExactS::DoSearch(std::span<const geo::Point> data,
+                              std::span<const geo::Point> query,
+                              similarity::EvaluatorCache* scratch,
+                              std::optional<double> bailout) const {
+  SIMSUB_CHECK(!data.empty());
+  SIMSUB_CHECK(!query.empty());
+  std::unique_ptr<similarity::PrefixEvaluator> owned;
+  similarity::PrefixEvaluator& eval =
+      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
   SearchResult result;
   const int n = static_cast<int>(data.size());
   for (int i = 0; i < n; ++i) {
@@ -56,7 +39,8 @@ SearchResult ExactScanBounded(similarity::PrefixEvaluator& eval,
       result.best = geo::SubRange(i, i);
     }
     for (int j = i + 1; j < n; ++j) {
-      if (eval.ExtensionLowerBound() > std::min(bailout, result.distance)) {
+      if (bailout &&
+          eval.ExtensionLowerBound() > std::min(*bailout, result.distance)) {
         ++result.stats.abandoned;
         break;
       }
@@ -70,56 +54,6 @@ SearchResult ExactScanBounded(similarity::PrefixEvaluator& eval,
     }
   }
   return result;
-}
-
-}  // namespace
-
-ExactS::ExactS(const similarity::SimilarityMeasure* measure)
-    : measure_(measure) {
-  SIMSUB_CHECK(measure != nullptr);
-}
-
-SearchResult ExactS::DoSearch(std::span<const geo::Point> data,
-                            std::span<const geo::Point> query) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  auto eval = measure_->NewEvaluator(query);
-  return ExactScan(*eval, data);
-}
-
-SearchResult ExactS::DoSearchCached(std::span<const geo::Point> data,
-                                    std::span<const geo::Point> query,
-                                    similarity::EvaluatorCache& scratch) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  return ExactScan(*scratch.Acquire(*measure_, query), data);
-}
-
-SearchResult ExactS::DoSearchBounded(std::span<const geo::Point> data,
-                                     std::span<const geo::Point> query,
-                                     similarity::EvaluatorCache* scratch,
-                                     double bailout) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator* eval =
-      similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
-  return ExactScanBounded(*eval, data, bailout);
-}
-
-void ExactS::EnumerateAll(
-    std::span<const geo::Point> data, std::span<const geo::Point> query,
-    const std::function<void(geo::SubRange, double)>& visit) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  const int n = static_cast<int>(data.size());
-  auto eval = measure_->NewEvaluator(query);
-  for (int i = 0; i < n; ++i) {
-    visit(geo::SubRange(i, i), eval->Start(data[static_cast<size_t>(i)]));
-    for (int j = i + 1; j < n; ++j) {
-      visit(geo::SubRange(i, j), eval->Extend(data[static_cast<size_t>(j)]));
-    }
-  }
 }
 
 }  // namespace simsub::algo

@@ -4,8 +4,6 @@
 #ifndef SIMSUB_ALGO_EXACTS_H_
 #define SIMSUB_ALGO_EXACTS_H_
 
-#include <functional>
-
 #include "algo/search.h"
 #include "similarity/measure.h"
 
@@ -22,26 +20,12 @@ class ExactS : public SubtrajectorySearch {
     return measure_;
   }
 
-  /// Visits every subtrajectory range and its distance in the same
-  /// enumeration order as Search (rows of fixed start, growing end). Used by
-  /// the evaluation ranker and by the top-k machinery.
-  void EnumerateAll(
-      std::span<const geo::Point> data, std::span<const geo::Point> query,
-      const std::function<void(geo::SubRange, double)>& visit) const;
-
  protected:
-  // (see SubtrajectorySearch::Search)
+  // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
-
-  SearchResult DoSearchCached(
-      std::span<const geo::Point> data, std::span<const geo::Point> query,
-      similarity::EvaluatorCache& scratch) const override;
-
-  SearchResult DoSearchBounded(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query,
-                               similarity::EvaluatorCache* scratch,
-                               double bailout) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache* scratch,
+                        std::optional<double> bailout) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;

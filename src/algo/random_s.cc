@@ -14,7 +14,9 @@ RandomSSearch::RandomSSearch(const similarity::SimilarityMeasure* measure,
 }
 
 SearchResult RandomSSearch::DoSearch(std::span<const geo::Point> data,
-                                   std::span<const geo::Point> query) const {
+                                     std::span<const geo::Point> query,
+                                     similarity::EvaluatorCache*,
+                                     std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   const int64_t n = static_cast<int64_t>(data.size());

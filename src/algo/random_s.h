@@ -28,7 +28,9 @@ class RandomSSearch : public SubtrajectorySearch {
  protected:
   // (see SubtrajectorySearch::Search)
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache*,
+                        std::optional<double>) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;

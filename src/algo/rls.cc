@@ -24,7 +24,9 @@ RlsSearch::RlsSearch(const similarity::SimilarityMeasure* measure,
 }
 
 SearchResult RlsSearch::DoSearch(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query) const {
+                                 std::span<const geo::Point> query,
+                                 similarity::EvaluatorCache*,
+                                 std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   rl::SplitEnv env(measure_, policy_.env_options);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -61,13 +62,13 @@ class SubtrajectorySearch {
   /// the dissimilarity to `query`. Both spans must be non-empty.
   SearchResult Search(std::span<const geo::Point> data,
                       std::span<const geo::Point> query) const {
-    return DoSearch(data, query);
+    return DoSearch(data, query, nullptr, std::nullopt);
   }
 
   /// Convenience overload on whole trajectories.
   SearchResult Search(const geo::Trajectory& data,
                       const geo::Trajectory& query) const {
-    return DoSearch(data.View(), query.View());
+    return DoSearch(data.View(), query.View(), nullptr, std::nullopt);
   }
 
   /// Like Search, but may reuse evaluator scratch from `scratch` (a
@@ -77,8 +78,7 @@ class SubtrajectorySearch {
   SearchResult Search(std::span<const geo::Point> data,
                       std::span<const geo::Point> query,
                       similarity::EvaluatorCache* scratch) const {
-    return scratch != nullptr ? DoSearchCached(data, query, *scratch)
-                              : DoSearch(data, query);
+    return DoSearch(data, query, scratch, std::nullopt);
   }
 
   /// Pruned search: candidates provably worse than `bailout` may be skipped
@@ -94,7 +94,7 @@ class SubtrajectorySearch {
                       std::span<const geo::Point> query,
                       similarity::EvaluatorCache* scratch,
                       double bailout) const {
-    return DoSearchBounded(data, query, scratch, bailout);
+    return DoSearch(data, query, scratch, bailout);
   }
 
   /// The similarity measure this search evaluates candidates with, when it
@@ -107,29 +107,18 @@ class SubtrajectorySearch {
   }
 
  protected:
-  /// Implementation hook (non-virtual interface: both public Search
-  /// overloads dispatch here, so derived classes never hide one of them).
+  /// The one implementation hook (non-virtual interface: every public
+  /// Search overload dispatches here, so derived classes never hide one of
+  /// them). A null `scratch` means a fresh evaluator per call (see
+  /// similarity::AcquireEvaluator). An unset `bailout` is the full search:
+  /// nothing is abandoned, so `stats` count all the work. A set one is the
+  /// bounded contract of Search(.., bailout). Algorithms without a cached
+  /// or a pruned path ignore the parameter they have no use for; evaluating
+  /// more candidates than necessary never changes the returned optimum.
   virtual SearchResult DoSearch(std::span<const geo::Point> data,
-                                std::span<const geo::Point> query) const = 0;
-
-  /// Scratch-reusing hook; the default ignores the cache.
-  virtual SearchResult DoSearchCached(std::span<const geo::Point> data,
-                                      std::span<const geo::Point> query,
-                                      similarity::EvaluatorCache&) const {
-    return DoSearch(data, query);
-  }
-
-  /// Bailout-threshold hook; the default ignores the threshold (always
-  /// correct: evaluating more candidates than necessary never changes the
-  /// returned optimum).
-  virtual SearchResult DoSearchBounded(std::span<const geo::Point> data,
-                                       std::span<const geo::Point> query,
-                                       similarity::EvaluatorCache* scratch,
-                                       double bailout) const {
-    (void)bailout;
-    return scratch != nullptr ? DoSearchCached(data, query, *scratch)
-                              : DoSearch(data, query);
-  }
+                                std::span<const geo::Point> query,
+                                similarity::EvaluatorCache* scratch,
+                                std::optional<double> bailout) const = 0;
 };
 
 }  // namespace simsub::algo

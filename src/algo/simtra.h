@@ -19,7 +19,9 @@ class SimTraSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::Search)
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache*,
+                        std::optional<double>) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;

@@ -2,30 +2,42 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "util/logging.h"
 
 namespace simsub::algo {
 
-namespace {
+SizeS::SizeS(const similarity::SimilarityMeasure* measure, int xi)
+    : measure_(measure), xi_(xi) {
+  SIMSUB_CHECK(measure != nullptr);
+  SIMSUB_CHECK_GE(xi, 0);
+}
 
-// Size-window scan shared by the plain and scratch-reusing entry points.
-SearchResult SizeScan(similarity::PrefixEvaluator& eval,
-                      std::span<const geo::Point> data,
-                      std::span<const geo::Point> query, int xi) {
+// The size-window scan. With a bailout, a start point's window is abandoned
+// once the evaluator's lower bound exceeds min(bailout, best-so-far): every
+// remaining candidate of the window (admissible or not) extends the current
+// state, so all are provably worse (see the Search(.., bailout) contract).
+SearchResult SizeS::DoSearch(std::span<const geo::Point> data,
+                             std::span<const geo::Point> query,
+                             similarity::EvaluatorCache* scratch,
+                             std::optional<double> bailout) const {
+  SIMSUB_CHECK(!data.empty());
+  SIMSUB_CHECK(!query.empty());
+  std::unique_ptr<similarity::PrefixEvaluator> owned;
+  similarity::PrefixEvaluator& eval =
+      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
   SearchResult result;
   const int n = static_cast<int>(data.size());
   const int m = static_cast<int>(query.size());
   // Clamp the window so at least one candidate is always admissible, even
   // when the data trajectory is shorter than m - xi.
-  const int min_size = std::max(1, std::min(m - xi, n));
+  const int min_size = std::max(1, std::min(m - xi_, n));
   // 64-bit sum clamped to n (no candidate exceeds the data length anyway):
   // xi comes off the wire as a full-range i32, and `m + xi` in int is UB at
   // the top of that range.
   const int max_size =
-      static_cast<int>(std::min<int64_t>(n, static_cast<int64_t>(m) + xi));
+      static_cast<int>(std::min<int64_t>(n, static_cast<int64_t>(m) + xi_));
   for (int i = 0; i < n; ++i) {
     if (i + min_size > n) break;  // No admissible subtrajectory starts here.
     double d = eval.Start(data[static_cast<size_t>(i)]);
@@ -39,52 +51,8 @@ SearchResult SizeScan(similarity::PrefixEvaluator& eval,
       }
     }
     for (int j = i + 1; j < n && size < max_size; ++j) {
-      d = eval.Extend(data[static_cast<size_t>(j)]);
-      ++result.stats.extend_calls;
-      ++size;
-      if (size >= min_size) {
-        ++result.stats.candidates;
-        if (d < result.distance) {
-          result.distance = d;
-          result.best = geo::SubRange(i, j);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-// Pruned size-window scan: a start point's window is abandoned once the
-// evaluator's lower bound exceeds min(bailout, best-so-far) — every
-// remaining candidate of the window (admissible or not) extends the current
-// state, so all are provably worse (see Search(.., bailout) contract).
-SearchResult SizeScanBounded(similarity::PrefixEvaluator& eval,
-                             std::span<const geo::Point> data,
-                             std::span<const geo::Point> query, int xi,
-                             double bailout) {
-  SearchResult result;
-  const int n = static_cast<int>(data.size());
-  const int m = static_cast<int>(query.size());
-  const int min_size = std::max(1, std::min(m - xi, n));
-  // 64-bit sum clamped to n (no candidate exceeds the data length anyway):
-  // xi comes off the wire as a full-range i32, and `m + xi` in int is UB at
-  // the top of that range.
-  const int max_size =
-      static_cast<int>(std::min<int64_t>(n, static_cast<int64_t>(m) + xi));
-  for (int i = 0; i < n; ++i) {
-    if (i + min_size > n) break;  // No admissible subtrajectory starts here.
-    double d = eval.Start(data[static_cast<size_t>(i)]);
-    ++result.stats.start_calls;
-    int size = 1;
-    if (size >= min_size) {
-      ++result.stats.candidates;
-      if (d < result.distance) {
-        result.distance = d;
-        result.best = geo::SubRange(i, i);
-      }
-    }
-    for (int j = i + 1; j < n && size < max_size; ++j) {
-      if (eval.ExtensionLowerBound() > std::min(bailout, result.distance)) {
+      if (bailout &&
+          eval.ExtensionLowerBound() > std::min(*bailout, result.distance)) {
         ++result.stats.abandoned;
         break;
       }
@@ -101,42 +69,6 @@ SearchResult SizeScanBounded(similarity::PrefixEvaluator& eval,
     }
   }
   return result;
-}
-
-}  // namespace
-
-SizeS::SizeS(const similarity::SimilarityMeasure* measure, int xi)
-    : measure_(measure), xi_(xi) {
-  SIMSUB_CHECK(measure != nullptr);
-  SIMSUB_CHECK_GE(xi, 0);
-}
-
-SearchResult SizeS::DoSearch(std::span<const geo::Point> data,
-                           std::span<const geo::Point> query) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  auto eval = measure_->NewEvaluator(query);
-  return SizeScan(*eval, data, query, xi_);
-}
-
-SearchResult SizeS::DoSearchCached(std::span<const geo::Point> data,
-                                   std::span<const geo::Point> query,
-                                   similarity::EvaluatorCache& scratch) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  return SizeScan(*scratch.Acquire(*measure_, query), data, query, xi_);
-}
-
-SearchResult SizeS::DoSearchBounded(std::span<const geo::Point> data,
-                                    std::span<const geo::Point> query,
-                                    similarity::EvaluatorCache* scratch,
-                                    double bailout) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator* eval =
-      similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
-  return SizeScanBounded(*eval, data, query, xi_, bailout);
 }
 
 }  // namespace simsub::algo

@@ -25,19 +25,12 @@ class SizeS : public SubtrajectorySearch {
     return measure_;
   }
 
-  // (see SubtrajectorySearch::Search)
  protected:
+  // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
-
-  SearchResult DoSearchCached(
-      std::span<const geo::Point> data, std::span<const geo::Point> query,
-      similarity::EvaluatorCache& scratch) const override;
-
-  SearchResult DoSearchBounded(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query,
-                               similarity::EvaluatorCache* scratch,
-                               double bailout) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache* scratch,
+                        std::optional<double> bailout) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;

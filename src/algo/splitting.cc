@@ -15,37 +15,21 @@ PssSearch::PssSearch(const similarity::SimilarityMeasure* measure)
   SIMSUB_CHECK(measure != nullptr);
 }
 
+// Algorithm 2. PSS cannot soundly use the caller's bailout value: any
+// future candidate below the running best — even one still above the bailout
+// — triggers a split that restarts the evaluator chain, whose subsequent
+// candidates are not bounded by anything known here. A set bailout therefore
+// only turns on the scan's own finality exit below, which is
+// bailout-independent and exact.
 SearchResult PssSearch::DoSearch(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  auto eval = measure_->NewEvaluator(query);
-  return PrefixSuffixScan(*eval, data, query);
-}
-
-SearchResult PssSearch::DoSearchCached(
-    std::span<const geo::Point> data, std::span<const geo::Point> query,
-    similarity::EvaluatorCache& scratch) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  return PrefixSuffixScan(*scratch.Acquire(*measure_, query), data, query);
-}
-
-SearchResult PssSearch::DoSearchBounded(std::span<const geo::Point> data,
-                                        std::span<const geo::Point> query,
-                                        similarity::EvaluatorCache* scratch,
-                                        double bailout) const {
+                                 std::span<const geo::Point> query,
+                                 similarity::EvaluatorCache* scratch,
+                                 std::optional<double> bailout) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator* eval =
-      similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
-  return PrefixSuffixScanBounded(*eval, data, query, bailout);
-}
-
-SearchResult PssSearch::PrefixSuffixScan(
-    similarity::PrefixEvaluator& eval, std::span<const geo::Point> data,
-    std::span<const geo::Point> query) const {
+  similarity::PrefixEvaluator& eval =
+      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
   SearchResult result;
   const int n = static_cast<int>(data.size());
 
@@ -55,6 +39,20 @@ SearchResult PssSearch::PrefixSuffixScan(
       similarity::ComputeSuffixDistances(*measure_, data, query);
   result.stats.start_calls += 1;
   result.stats.extend_calls += n - 1;
+
+  // suffix_min_from[i] = min over j >= i of suffix[j]; sentinel +inf past
+  // the end. Lets a bounded scan prove that no future suffix candidate can
+  // improve the answer.
+  std::vector<double> suffix_min_from;
+  if (bailout) {
+    suffix_min_from.assign(static_cast<size_t>(n) + 1,
+                           std::numeric_limits<double>::infinity());
+    for (int i = n; i-- > 0;) {
+      suffix_min_from[static_cast<size_t>(i)] =
+          std::min(suffix[static_cast<size_t>(i)],
+                   suffix_min_from[static_cast<size_t>(i) + 1]);
+    }
+  }
 
   int h = 0;  // Start of the current segment.
   for (int i = 0; i < n; ++i) {
@@ -83,72 +81,18 @@ SearchResult PssSearch::PrefixSuffixScan(
       h = i + 1;
       ++result.stats.splits;
     }
-  }
-  return result;
-}
-
-SearchResult PssSearch::PrefixSuffixScanBounded(
-    similarity::PrefixEvaluator& eval, std::span<const geo::Point> data,
-    std::span<const geo::Point> query, double bailout) const {
-  // PSS cannot soundly use the caller's bailout: any future candidate below
-  // the running best — even one still above the bailout — triggers a split
-  // that restarts the evaluator chain, whose subsequent candidates are not
-  // bounded by anything known here. The scan therefore prunes only on its
-  // own finality condition below, which is bailout-independent and exact.
-  (void)bailout;
-  SearchResult result;
-  const int n = static_cast<int>(data.size());
-
-  std::vector<double> suffix =
-      similarity::ComputeSuffixDistances(*measure_, data, query);
-  result.stats.start_calls += 1;
-  result.stats.extend_calls += n - 1;
-
-  // suffix_min_from[i] = min over j >= i of suffix[j]; sentinel +inf past
-  // the end. Lets the scan prove that no future suffix candidate can
-  // improve the answer.
-  std::vector<double> suffix_min_from(static_cast<size_t>(n) + 1,
-                                      std::numeric_limits<double>::infinity());
-  for (int i = n; i-- > 0;) {
-    suffix_min_from[static_cast<size_t>(i)] =
-        std::min(suffix[static_cast<size_t>(i)],
-                 suffix_min_from[static_cast<size_t>(i) + 1]);
-  }
-
-  int h = 0;  // Start of the current segment.
-  for (int i = 0; i < n; ++i) {
-    double pre = (i == h) ? eval.Start(data[static_cast<size_t>(i)])
-                          : eval.Extend(data[static_cast<size_t>(i)]);
-    if (i == h) {
-      ++result.stats.start_calls;
-    } else {
-      ++result.stats.extend_calls;
-    }
-    double suf = suffix[static_cast<size_t>(i)];
-    result.stats.candidates += 2;
-    double cand = std::min(pre, suf);
-    if (cand < result.distance) {
-      result.distance = cand;
-      bool prefix_wins = pre <= suf;
-      result.best =
-          prefix_wins ? geo::SubRange(h, i) : geo::SubRange(i, n - 1);
-      result.distance_exact =
-          prefix_wins || measure_->ReversalPreservesDistance();
-      h = i + 1;
-      ++result.stats.splits;
-    }
-    // Early exit when nothing ahead can matter. Only legal while the
-    // evaluator state is live (h <= i: no restart pending), so that
-    // ExtensionLowerBound() bounds every future prefix candidate; every
-    // future suffix candidate is bounded by suffix_min_from. Once neither
-    // side can go below the current best, no candidate can win OR trigger
-    // a split (both require cand < result.distance), so the result is
-    // final. Note the condition must compare against result.distance, NOT
-    // the caller's bailout: a future candidate between the bailout and the
-    // current best would still split and restart the evaluator, and the
+    // Bounded scans exit early when nothing ahead can matter. Only legal
+    // while the evaluator state is live (h <= i: no restart pending), so
+    // that ExtensionLowerBound() bounds every future prefix candidate;
+    // every future suffix candidate is bounded by suffix_min_from. Once
+    // neither side can go below the current best, no candidate can win OR
+    // trigger a split (both require cand < result.distance), so the result
+    // is final. Note the condition must compare against result.distance,
+    // NOT the caller's bailout: a future candidate between the bailout and
+    // the current best would still split and restart the evaluator, and the
     // post-split chain is unbounded by the current lower bound — it may
     // descend below the bailout, which an exit here would wrongly skip.
-    if (h <= i && i + 1 < n) {
+    if (bailout && h <= i && i + 1 < n) {
       double future_min =
           std::min(eval.ExtensionLowerBound(),
                    suffix_min_from[static_cast<size_t>(i) + 1]);
@@ -167,7 +111,9 @@ PosSearch::PosSearch(const similarity::SimilarityMeasure* measure)
 }
 
 SearchResult PosSearch::DoSearch(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query) const {
+                                 std::span<const geo::Point> query,
+                                 similarity::EvaluatorCache*,
+                                 std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   SearchResult result;
@@ -200,7 +146,9 @@ PosDSearch::PosDSearch(const similarity::SimilarityMeasure* measure, int delay)
 }
 
 SearchResult PosDSearch::DoSearch(std::span<const geo::Point> data,
-                                std::span<const geo::Point> query) const {
+                                  std::span<const geo::Point> query,
+                                  similarity::EvaluatorCache*,
+                                  std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   SearchResult result;

@@ -24,30 +24,14 @@ class PssSearch : public SubtrajectorySearch {
     return measure_;
   }
 
-  // (see SubtrajectorySearch::Search)
  protected:
+  // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
-
-  SearchResult DoSearchCached(
-      std::span<const geo::Point> data, std::span<const geo::Point> query,
-      similarity::EvaluatorCache& scratch) const override;
-
-  SearchResult DoSearchBounded(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query,
-                               similarity::EvaluatorCache* scratch,
-                               double bailout) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache* scratch,
+                        std::optional<double> bailout) const override;
 
  private:
-  SearchResult PrefixSuffixScan(similarity::PrefixEvaluator& eval,
-                                std::span<const geo::Point> data,
-                                std::span<const geo::Point> query) const;
-
-  SearchResult PrefixSuffixScanBounded(similarity::PrefixEvaluator& eval,
-                                       std::span<const geo::Point> data,
-                                       std::span<const geo::Point> query,
-                                       double bailout) const;
-
   const similarity::SimilarityMeasure* measure_;
 };
 
@@ -65,7 +49,9 @@ class PosSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::Search)
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache*,
+                        std::optional<double>) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;
@@ -88,7 +74,9 @@ class PosDSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::Search)
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache*,
+                        std::optional<double>) const override;
 
  private:
   const similarity::SimilarityMeasure* measure_;

@@ -19,7 +19,9 @@ SpringSearch::SpringSearch(double band_fraction)
 }
 
 SearchResult SpringSearch::DoSearch(std::span<const geo::Point> data,
-                                  std::span<const geo::Point> query) const {
+                                    std::span<const geo::Point> query,
+                                    similarity::EvaluatorCache*,
+                                    std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   const int n = static_cast<int>(data.size());

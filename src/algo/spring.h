@@ -27,7 +27,9 @@ class SpringSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::Search)
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query) const override;
+                        std::span<const geo::Point> query,
+                        similarity::EvaluatorCache*,
+                        std::optional<double>) const override;
 
  private:
   double band_fraction_;

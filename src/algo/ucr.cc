@@ -64,7 +64,9 @@ UcrSearch::UcrSearch(double band_fraction) : band_fraction_(band_fraction) {
 }
 
 SearchResult UcrSearch::DoSearch(std::span<const geo::Point> data,
-                               std::span<const geo::Point> query) const {
+                                 std::span<const geo::Point> query,
+                                 similarity::EvaluatorCache*,
+                                 std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   const int n = static_cast<int>(data.size());

@@ -4,6 +4,7 @@
 #define SIMSUB_GEO_MBR_H_
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -91,6 +92,18 @@ struct Mbr {
 
 /// MBR of a point span.
 Mbr ComputeMbr(std::span<const Point> pts);
+
+/// Index of the cell `coord` falls in on one axis of a grid of `cells`
+/// cells of width `cell_size` starting at `origin`, clamped to
+/// [0, cells - 1]. The clamp happens in double, before the conversion: a
+/// coordinate far outside the grid has a cell index beyond int's range,
+/// which does not convert. NaN goes to cell 0.
+inline int ClampedGridCell(double coord, double origin, double cell_size,
+                           int cells) {
+  const double cell = std::floor((coord - origin) / cell_size);
+  if (!(cell > 0.0)) return 0;
+  return cell < cells - 1 ? static_cast<int>(cell) : cells - 1;
+}
 
 inline std::ostream& operator<<(std::ostream& os, const Mbr& m) {
   return os << "Mbr[" << m.min_x << "," << m.min_y << " .. " << m.max_x << ","

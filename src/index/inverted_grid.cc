@@ -1,7 +1,6 @@
 #include "index/inverted_grid.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -36,10 +35,8 @@ InvertedGridIndex InvertedGridIndex::Build(
 }
 
 int InvertedGridIndex::CellOf(const geo::Point& p) const {
-  int cx = static_cast<int>(std::floor((p.x - extent_.min_x) / cell_w_));
-  int cy = static_cast<int>(std::floor((p.y - extent_.min_y) / cell_h_));
-  cx = std::clamp(cx, 0, cols_ - 1);
-  cy = std::clamp(cy, 0, rows_ - 1);
+  const int cx = geo::ClampedGridCell(p.x, extent_.min_x, cell_w_, cols_);
+  const int cy = geo::ClampedGridCell(p.y, extent_.min_y, cell_h_, rows_);
   return cy * cols_ + cx;
 }
 

@@ -211,7 +211,7 @@ engine::QueryReport QueryService::ExecuteSpec(
     eo.index_margin = options_.index_margin;
     eo.threads = 1;  // inter-query parallelism only; the scan stays inline
     eo.scratch = scratch;
-    eo.prune = options_.prune && spec.prune;
+    eo.prune = spec.prune;
     eo.cancel = spec.cancel;
     eo.deadline = deadline;
     report = engine_.Query(spec.points, *search, eo);
@@ -265,6 +265,12 @@ engine::QueryReport QueryService::ServeSpec(
   util::Status invalid;
   if (spec.points.empty()) {
     invalid = util::Status::InvalidArgument("spec.points must be non-empty");
+  } else if (!std::all_of(spec.points.begin(), spec.points.end(),
+                          [](const geo::Point& p) {
+                            return std::isfinite(p.x) && std::isfinite(p.y);
+                          })) {
+    invalid = util::Status::InvalidArgument(
+        "spec.points coordinates must be finite");
   } else if (spec.k <= 0) {
     invalid = util::Status::InvalidArgument("spec.k must be > 0, got " +
                                             std::to_string(spec.k));

@@ -60,9 +60,6 @@ struct ServiceOptions {
   int threads = 0;
   /// R-tree MBR inflation (meters) applied to every query.
   double index_margin = 0.0;
-  /// Lower-bound pruning cascade inside the engine scan (bit-identical
-  /// results either way; off is only useful for measurement).
-  bool prune = true;
   /// Indexes built at construction (the planner only considers built ones).
   bool build_rtree = true;
   bool build_inverted_grid = true;

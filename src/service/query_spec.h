@@ -52,9 +52,9 @@ struct QuerySpec {
 
   /// Explicit pruning filter; nullopt lets the planner decide per query.
   std::optional<engine::PruningFilter> filter;
-  /// Per-request lower-bound-cascade toggle (AND-ed with the service-wide
-  /// ServiceOptions::prune; results are bit-identical either way). Does not
-  /// apply to "topk-sub": the exhaustive subtrajectory enumeration has no
+  /// Per-request lower-bound-cascade toggle (results are bit-identical
+  /// either way; off is only useful for measurement). Does not apply to
+  /// "topk-sub": the exhaustive subtrajectory enumeration has no
   /// lower-bound cascade to toggle.
   bool prune = true;
 

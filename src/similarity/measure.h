@@ -218,8 +218,7 @@ PrefixEvaluator* AcquireEvaluator(const SimilarityMeasure& measure,
 
 /// Computes suffix distances suffix[i] = dist(T[i..n-1]^R, Tq^R) for all i
 /// in one O(n * Phi_inc) backward pass (PSS Algorithm 2, lines 2-3; also the
-/// Θsuf component of the RL state). `reversed_query_storage` receives the
-/// reversed query and must outlive nothing (distances are returned by value).
+/// Θsuf component of the RL state).
 std::vector<double> ComputeSuffixDistances(const SimilarityMeasure& measure,
                                            std::span<const geo::Point> data,
                                            std::span<const geo::Point> query);

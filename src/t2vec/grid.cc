@@ -1,8 +1,5 @@
 #include "t2vec/grid.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace simsub::t2vec {
@@ -19,10 +16,8 @@ Grid::Grid(const geo::Mbr& extent, int cols, int rows)
 }
 
 int Grid::TokenOf(const geo::Point& p) const {
-  int cx = static_cast<int>(std::floor((p.x - extent_.min_x) / cell_w_));
-  int cy = static_cast<int>(std::floor((p.y - extent_.min_y) / cell_h_));
-  cx = std::clamp(cx, 0, cols_ - 1);
-  cy = std::clamp(cy, 0, rows_ - 1);
+  const int cx = geo::ClampedGridCell(p.x, extent_.min_x, cell_w_, cols_);
+  const int cy = geo::ClampedGridCell(p.y, extent_.min_y, cell_h_, rows_);
   return cy * cols_ + cx;
 }
 

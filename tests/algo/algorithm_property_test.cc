@@ -5,7 +5,9 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "algo/exacts.h"
 #include "algo/random_s.h"
@@ -105,6 +107,47 @@ TEST_P(AlgorithmPropertyTest, DeterministicAcrossRepeatedCalls) {
   auto r2 = algorithm->Search(data, query);
   EXPECT_EQ(r1.best, r2.best);
   EXPECT_EQ(r1.distance, r2.distance);
+}
+
+void ExpectSameStats(const SearchStats& got, const SearchStats& want) {
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.splits, want.splits);
+  EXPECT_EQ(got.points_skipped, want.points_skipped);
+  EXPECT_EQ(got.extend_calls, want.extend_calls);
+  EXPECT_EQ(got.start_calls, want.start_calls);
+  EXPECT_EQ(got.abandoned, want.abandoned);
+}
+
+TEST_P(AlgorithmPropertyTest, SearchOverloadsAgreeWithThePlainSearch) {
+  auto measure = similarity::MakeMeasure(GetParam().measure);
+  ASSERT_TRUE(measure.ok());
+  // A fresh instance per call, so Random-S draws the same samples each time.
+  auto fresh = [&] {
+    return MakeAlgorithm(GetParam().algorithm, measure->get());
+  };
+  similarity::EvaluatorCache scratch;  // reused across every call below
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    auto data = RandomWalk(rng, 10 + 2 * trial);
+    auto query = RandomWalk(rng, 3 + trial % 3);
+    const SearchResult plain = fresh()->Search(data, query);
+    EXPECT_EQ(plain.stats.abandoned, 0);
+
+    const SearchResult cached = fresh()->Search(data, query, &scratch);
+    EXPECT_EQ(cached.best, plain.best);
+    EXPECT_EQ(cached.distance, plain.distance);
+    EXPECT_EQ(cached.distance_exact, plain.distance_exact);
+    ExpectSameStats(cached.stats, plain.stats);
+
+    for (double bailout :
+         {std::numeric_limits<double>::infinity(), plain.distance}) {
+      const SearchResult bounded =
+          fresh()->Search(data, query, &scratch, bailout);
+      EXPECT_EQ(bounded.best, plain.best) << "bailout " << bailout;
+      EXPECT_EQ(bounded.distance, plain.distance) << "bailout " << bailout;
+    }
+  }
 }
 
 std::vector<Combo> AllCombos() {

@@ -90,30 +90,6 @@ TEST(ExactSTest, WorksWithFrechet) {
   EXPECT_NEAR(r.distance, 0.5, 1e-9);
 }
 
-TEST(ExactSTest, EnumerateAllVisitsEveryRangeOnce) {
-  ExactS exact(&kDtw);
-  auto data = Line({0, 1, 2, 3});
-  auto query = Line({1});
-  std::set<std::pair<int, int>> seen;
-  exact.EnumerateAll(data, query, [&](geo::SubRange r, double d) {
-    EXPECT_GE(d, 0.0);
-    EXPECT_TRUE(seen.emplace(r.start, r.end).second) << "duplicate " << r;
-  });
-  EXPECT_EQ(seen.size(), 10u);
-}
-
-TEST(ExactSTest, EnumerationDistancesMatchSearchOptimum) {
-  ExactS exact(&kDtw);
-  auto data = Line({3, 1, 4, 1, 5});
-  auto query = Line({1, 4});
-  auto r = exact.Search(data, query);
-  double best = std::numeric_limits<double>::infinity();
-  exact.EnumerateAll(data, query, [&](geo::SubRange, double d) {
-    best = std::min(best, d);
-  });
-  EXPECT_DOUBLE_EQ(best, r.distance);
-}
-
 TEST(ExactSTest, NameIsStable) {
   ExactS exact(&kDtw);
   EXPECT_EQ(exact.name(), "ExactS");

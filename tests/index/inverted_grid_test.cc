@@ -82,6 +82,27 @@ TEST(InvertedGridTest, SelfIsAlwaysCandidate) {
   }
 }
 
+TEST(InvertedGridTest, FarQueryPointsClampToTheBorderCellOnTheirSide) {
+  // One trajectory in each corner cell of a 4x4 grid over [-100, 100]^2,
+  // numbered bottom-left, bottom-right, top-left, top-right.
+  std::vector<geo::Trajectory> db;
+  db.push_back(Segment(-90, -90, -80, -80, 5, 0));
+  db.push_back(Segment(80, -90, 90, -80, 5, 1));
+  db.push_back(Segment(-90, 80, -80, 90, 5, 2));
+  db.push_back(Segment(80, 80, 90, 90, 5, 3));
+  auto index = InvertedGridIndex::Build(db, Extent(100), 4, 4);
+  for (double far : {200.0, 1e9, 1e12, 1e300}) {
+    for (double sx : {-1.0, 1.0}) {
+      for (double sy : {-1.0, 1.0}) {
+        std::vector<geo::Point> query = {{sx * far, sy * far}};
+        const int64_t corner = (sy > 0 ? 2 : 0) + (sx > 0 ? 1 : 0);
+        EXPECT_EQ(index.QueryCandidates(query), std::vector<int64_t>{corner})
+            << "query at (" << sx * far << ", " << sy * far << ")";
+      }
+    }
+  }
+}
+
 TEST(InvertedGridTest, CellsOfDeduplicates) {
   auto index = InvertedGridIndex::Build({}, Extent(10), 4, 4);
   std::vector<geo::Point> pts = {{1, 1}, {1.1, 1.1}, {-9, -9}};

@@ -49,7 +49,6 @@ TEST(QueryBatchTest, SubmitBatchTilingMatchesRunOneBitwise) {
       for (bool prune : {true, false}) {
         ServiceOptions options;
         options.threads = threads;
-        options.prune = prune;
         data::Dataset copy = d;
         QueryService service(
             engine::SimSubEngine(std::move(copy.trajectories)), options);
@@ -62,6 +61,7 @@ TEST(QueryBatchTest, SubmitBatchTilingMatchesRunOneBitwise) {
           spec.measure = (i % 2 == 0) ? "dtw" : "frechet";
           spec.algorithm = "exacts";
           spec.k = 4;
+          spec.prune = prune;
           specs.push_back(spec);
         }
 

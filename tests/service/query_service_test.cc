@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -148,6 +149,36 @@ TEST(QueryServiceTest, StatsCountPlannerOutcomes) {
   EXPECT_EQ(stats.queries_served, 2);
   EXPECT_EQ(stats.plans_none + stats.plans_rtree + stats.plans_grid, 2);
   EXPECT_GE(stats.plans_rtree, 1);  // the explicit override counts as rtree
+}
+
+TEST(QueryServiceTest, NonFiniteQueryCoordinatesAreInvalidArgument) {
+  QueryService service = MakeService(1);
+  std::span<const geo::Point> first = service.engine().database()[0].View();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Poison {
+    size_t point;
+    bool on_x;
+    double value;
+  };
+  for (Poison poison : {Poison{1, true, nan}, Poison{0, false, inf},
+                        Poison{1, true, -inf}}) {
+    std::vector<geo::Point> points(first.begin(), first.begin() + 2);
+    geo::Point& p = points[poison.point];
+    (poison.on_x ? p.x : p.y) = poison.value;
+    for (std::optional<engine::PruningFilter> filter :
+         {std::optional<engine::PruningFilter>(),
+          std::optional<engine::PruningFilter>(
+              engine::PruningFilter::kInvertedGrid)}) {
+      engine::QueryReport report =
+          service.RunOne(ExactSpec(points, 3, filter));
+      EXPECT_EQ(report.status.code(), util::StatusCode::kInvalidArgument)
+          << report.status.ToString();
+      EXPECT_TRUE(report.results.empty());
+    }
+  }
+  EXPECT_EQ(service.stats().rejected, 6);
+  EXPECT_EQ(service.stats().queries_served, 0);
 }
 
 TEST(QueryPlannerTest, WholeExtentQueryScansEverything) {

@@ -42,6 +42,7 @@ TEST(GridTest, OutOfExtentClamps) {
   Grid g(UnitCity(), 10, 10);
   EXPECT_EQ(g.TokenOf(geo::Point(-50, -50)), 0);
   EXPECT_EQ(g.TokenOf(geo::Point(500, 500)), 99);
+  EXPECT_EQ(g.TokenOf(geo::Point(1e12, 1e12)), 99);
 }
 
 TEST(GridTest, CellCenterInverseOfToken) {

@@ -286,7 +286,6 @@ int RunQuery(int argc, char** argv) {
 
     service::ServiceOptions service_options;
     service_options.threads = threads;
-    service_options.prune = prune;
     // QueryService pins its address (self-referential planner/pool), so
     // construct the chosen variant in place.
     std::optional<service::QueryService> service;
