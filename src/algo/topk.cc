@@ -17,10 +17,7 @@ bool WorseThan(const RankedCandidate& a, const RankedCandidate& b) {
 
 }  // namespace
 
-TopKCollector::TopKCollector(int k) : k_(k) {
-  SIMSUB_CHECK_GT(k, 0);
-  heap_.reserve(static_cast<size_t>(k));
-}
+TopKCollector::TopKCollector(int k) : k_(k) { SIMSUB_CHECK_GT(k, 0); }
 
 double TopKCollector::worst() const {
   if (!full()) return std::numeric_limits<double>::infinity();

@@ -474,13 +474,4 @@ std::vector<geo::Trajectory> CorpusSnapshot::MaterializeTrajectories() const {
   return out;
 }
 
-Dataset CorpusSnapshot::ToDataset(const std::string& name,
-                                  DatasetKind kind) const {
-  Dataset dataset;
-  dataset.name = name;
-  dataset.kind = kind;
-  dataset.trajectories = MaterializeTrajectories();
-  return dataset;
-}
-
 }  // namespace simsub::data

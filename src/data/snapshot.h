@@ -149,9 +149,6 @@ class CorpusSnapshot {
   /// Materializes the whole corpus in order — the engine's AoS database.
   std::vector<geo::Trajectory> MaterializeTrajectories() const;
 
-  /// Full round-trip back to a Dataset (name/kind are not persisted).
-  Dataset ToDataset(const std::string& name, DatasetKind kind) const;
-
  private:
   CorpusSnapshot() = default;
 

@@ -11,6 +11,7 @@
 #include "data/snapshot.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace simsub::engine {
 
@@ -103,14 +104,14 @@ int64_t SimSubEngine::TotalPoints() const {
   return total;
 }
 
-void SimSubEngine::BuildIndex(int node_capacity) {
+void SimSubEngine::BuildIndex() {
   if (index_.has_value()) return;
   std::vector<index::RTreeEntry> entries;
   entries.reserve(database_.size());
   for (size_t i = 0; i < database_.size(); ++i) {
     entries.push_back(index::RTreeEntry{mbrs_[i], static_cast<int64_t>(i)});
   }
-  index_ = index::RTree::BulkLoad(std::move(entries), node_capacity);
+  index_ = index::RTree::BulkLoad(std::move(entries));
 }
 
 void SimSubEngine::BuildInvertedIndex(int cols, int rows) {
@@ -123,13 +124,12 @@ void SimSubEngine::BuildInvertedIndex(int cols, int rows) {
 }
 
 std::vector<int64_t> SimSubEngine::CandidateOrdinals(
-    std::span<const geo::Point> query, PruningFilter filter,
-    double index_margin) const {
+    std::span<const geo::Point> query, PruningFilter filter) const {
   switch (filter) {
     case PruningFilter::kRTree: {
       SIMSUB_CHECK(index_.has_value()) << "BuildIndex() before R-tree query";
-      geo::Mbr qmbr = geo::ComputeMbr(query).Inflated(index_margin);
-      std::vector<int64_t> out = index_->QueryIntersects(qmbr);
+      std::vector<int64_t> out =
+          index_->QueryIntersects(geo::ComputeMbr(query));
       std::sort(out.begin(), out.end());
       return out;
     }
@@ -158,8 +158,7 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
   QueryReport report;
   report.filter_used = options.filter;
 
-  std::vector<int64_t> candidates =
-      CandidateOrdinals(query, options.filter, options.index_margin);
+  std::vector<int64_t> candidates = CandidateOrdinals(query, options.filter);
   report.trajectories_pruned = static_cast<int64_t>(database_.size()) -
                                static_cast<int64_t>(candidates.size());
 
@@ -255,15 +254,14 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
     }
   };
 
-  util::ThreadPool* pool =
-      options.pool != nullptr ? options.pool : &util::ThreadPool::Shared();
+  util::ThreadPool& pool = util::ThreadPool::Shared();
   // Run inline when parallelism cannot pay off — and always when already on
   // a worker of the target pool, where blocking on our own futures could
   // deadlock (every worker waiting on tasks stuck behind it in the queue).
   bool sequential = options.threads <= 1 ||
                     candidates.size() <
                         2 * static_cast<size_t>(options.threads) ||
-                    pool->OnWorkerThread();
+                    pool.OnWorkerThread();
 
   TopKHeap heap;
   if (sequential) {
@@ -290,7 +288,7 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
       size_t lo = w * chunk;
       size_t hi = std::min(candidates.size(), lo + chunk);
       if (lo >= hi) break;
-      futures.push_back(pool->Submit([&, lo, hi, w] {
+      futures.push_back(pool.Submit([&, lo, hi, w] {
         similarity::EvaluatorCache chunk_scratch;
         scan_range(lo, hi, heaps[w], scanned[w], lb_skipped[w],
                    dp_abandoned[w], &chunk_scratch);
@@ -336,9 +334,7 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
     const algo::SubtrajectorySearch& search,
     const BatchQueryOptions& options) const {
   QueryOptions qo;
-  qo.index_margin = options.index_margin;
   qo.threads = options.threads;
-  qo.pool = options.pool;
   qo.scratch = options.scratch;
   qo.prune = options.prune;
   std::vector<QueryReport> reports;
@@ -363,8 +359,7 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
   util::Stopwatch timer;
   QueryReport report;
   report.filter_used = filter;
-  std::vector<int64_t> candidates =
-      CandidateOrdinals(query, filter, /*index_margin=*/0.0);
+  std::vector<int64_t> candidates = CandidateOrdinals(query, filter);
   report.trajectories_pruned = static_cast<int64_t>(database_.size()) -
                                static_cast<int64_t>(candidates.size());
   const bool has_deadline =

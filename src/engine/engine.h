@@ -3,12 +3,11 @@
 // pruned by a bounding-box R-tree or an inverted grid — run a per-trajectory
 // SimSub algorithm, and maintain the top-k most similar subtrajectories.
 //
-// Parallel scans run on a persistent util::ThreadPool (the process-wide
-// shared pool by default) instead of spawning threads per query, and the
-// per-trajectory searches reuse evaluator DP scratch through
-// similarity::EvaluatorCache. Results are deterministic regardless of the
-// thread count: top-k ties are broken by (distance, trajectory_id,
-// range.start, range.end).
+// Parallel scans run on the process-wide shared util::ThreadPool instead of
+// spawning threads per query, and the per-trajectory searches reuse
+// evaluator DP scratch through similarity::EvaluatorCache. Results are
+// deterministic regardless of the thread count: top-k ties are broken by
+// (distance, trajectory_id, range.start, range.end).
 //
 // Top-k queries additionally run a lower-bound pruning cascade (UCR-style,
 // see algo/lower_bounds.h): a best-kth-distance threshold shared atomically
@@ -37,7 +36,6 @@
 #include "similarity/measure.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace simsub::data {
 class CorpusSnapshot;
@@ -108,12 +106,9 @@ struct QueryReport {
 struct QueryOptions {
   int k = 1;
   PruningFilter filter = PruningFilter::kNone;
-  /// MBR inflation (meters) for the R-tree filter.
-  double index_margin = 0.0;
-  /// Number of scan partitions; > 1 runs them on `pool` (or the shared
-  /// process pool when null). 1 scans inline on the calling thread.
+  /// Number of scan partitions; > 1 runs them on the shared process pool
+  /// (util::ThreadPool::Shared()). 1 scans inline on the calling thread.
   int threads = 1;
-  util::ThreadPool* pool = nullptr;
   /// Caller-owned per-worker evaluator scratch, used by the sequential path
   /// (parallel partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
@@ -159,10 +154,8 @@ struct BatchedQueryView {
 /// Execution knobs for SimSubEngine::QueryBatch: the subset of QueryOptions
 /// that is batch-wide rather than per-query, passed to every Query call.
 struct BatchQueryOptions {
-  double index_margin = 0.0;
-  /// Scan partitions per query, as QueryOptions::threads / ::pool.
+  /// Scan partitions per query, as QueryOptions::threads.
   int threads = 1;
-  util::ThreadPool* pool = nullptr;
   /// As QueryOptions::scratch; reused by every query of the batch.
   similarity::EvaluatorCache* scratch = nullptr;
   /// As QueryOptions::prune.
@@ -187,7 +180,7 @@ class SimSubEngine {
   int64_t TotalPoints() const;
 
   /// Builds the MBR R-tree (idempotent).
-  void BuildIndex(int node_capacity = 16);
+  void BuildIndex();
   bool has_index() const { return index_.has_value(); }
 
   /// Builds the inverted grid index (idempotent); cols x rows cells over
@@ -200,10 +193,10 @@ class SimSubEngine {
   /// trajectory contributes its own most-similar subtrajectory).
   ///
   /// With PruningFilter::kRTree, trajectories whose MBR does not intersect
-  /// the query's MBR (inflated by `index_margin` meters) are pruned — the
-  /// paper's bounding-box filter, which may rarely drop true answers. With
-  /// kInvertedGrid, trajectories sharing no grid cell with the query are
-  /// pruned. Results are identical for any `threads` value.
+  /// the query's MBR are pruned — the paper's bounding-box filter, which
+  /// may rarely drop true answers. With kInvertedGrid, trajectories sharing
+  /// no grid cell with the query are pruned. Results are identical for any
+  /// `threads` value.
   QueryReport Query(std::span<const geo::Point> query,
                     const algo::SubtrajectorySearch& search,
                     const QueryOptions& options) const;
@@ -266,8 +259,7 @@ class SimSubEngine {
 
  private:
   std::vector<int64_t> CandidateOrdinals(std::span<const geo::Point> query,
-                                         PruningFilter filter,
-                                         double index_margin) const;
+                                         PruningFilter filter) const;
 
   /// Lazily-built owning SoA store (CSV/in-memory construction path only).
   /// Heap-held so the engine stays movable (util::Mutex is neither movable

@@ -183,10 +183,7 @@ util::Result<engine::QueryReport> Client::Query(
     util::Status sent = util::FailpointFire("net.client.send");
     if (sent.ok()) sent = WriteFrame(fd_, FrameType::kQuery, *payload);
     if (!sent.ok()) {
-      // The tail of the frame never left userspace, but earlier slices may
-      // have: treat a send failure like a post-send one for idempotency.
       CloseFd();
-      if (!options_.retry_after_send) return sent;
       if (!BackoffOrGiveUp(&attempt, deadline, &sent)) return sent;
       continue;
     }
@@ -201,7 +198,6 @@ util::Result<engine::QueryReport> Client::Query(
         // merely slow — retry on the same connection; the late reply gets
         // discarded by request_id. Anything else poisons the connection.
         if (!util::io::IsSocketTimeout(st)) CloseFd();
-        if (!options_.retry_after_send) return st;
         if (!BackoffOrGiveUp(&attempt, deadline, &st)) return st;
         resend = true;
         continue;
@@ -210,23 +206,15 @@ util::Result<engine::QueryReport> Client::Query(
         util::Status st =
             util::Status::IOError("server closed the connection");
         CloseFd();
-        if (!options_.retry_after_send) return st;
         if (!BackoffOrGiveUp(&attempt, deadline, &st)) return st;
         resend = true;
         continue;
       }
       if ((*frame)->type == FrameType::kError) {
         // An explicit refusal from the server (it closes after sending):
-        // surface it rather than hammer a server that said no, unless the
-        // caller opted overload refusals into the retry budget.
+        // surface it rather than hammer a server that said no.
         util::Status refused = DecodeError((*frame)->payload);
         CloseFd();
-        if (refused.code() == util::StatusCode::kResourceExhausted &&
-            options_.retry_sheds) {
-          if (!BackoffOrGiveUp(&attempt, deadline, &refused)) return refused;
-          resend = true;
-          continue;
-        }
         return refused;
       }
       if ((*frame)->type != FrameType::kReport) {
@@ -244,16 +232,6 @@ util::Result<engine::QueryReport> Client::Query(
       if (echoed != rid) {
         ++stats_.stale_frames_discarded;
         continue;
-      }
-      if (report->status.code() == util::StatusCode::kResourceExhausted &&
-          options_.retry_sheds) {
-        util::Status shed = report->status;
-        if (BackoffOrGiveUp(&attempt, deadline, &shed)) {
-          resend = true;
-          continue;
-        }
-        // Budget or deadline spent: the shed report is still the truthful
-        // answer, so hand it back as the server delivered it.
       }
       return report;
     }

@@ -10,13 +10,12 @@
 //
 //   * a retry never fires past the spec's deadline_ms — the backoff sleep
 //     that would cross the deadline returns DeadlineExceeded instead;
-//   * server *answers* are never retried by default: an ERROR frame or a
-//     shed REPORT (InvalidArgument, ResourceExhausted, ...) is the
-//     server's explicit decision and is surfaced to the caller —
-//     `retry_sheds` opts shed/ResourceExhausted answers into the budget;
-//   * `retry_after_send = false` restricts retries to failures before the
-//     request could have reached the server (for non-idempotent requests;
-//     queries are idempotent, so the default resends freely).
+//   * server *answers* are never retried: an ERROR frame or a shed REPORT
+//     (InvalidArgument, ResourceExhausted, ...) is the server's explicit
+//     decision and is surfaced to the caller, since blind retry of a shed
+//     amplifies overload;
+//   * a transport failure is retried even after the request bytes may have
+//     reached the server — queries are idempotent, so resending is safe.
 //
 // Every attempt carries a fresh wire request_id which the server echoes
 // in its REPORT, so a retry racing the late reply of an abandoned attempt
@@ -53,14 +52,6 @@ struct ClientOptions {
   int backoff_initial_ms = 10;
   int backoff_max_ms = 2'000;
   uint64_t backoff_seed = 1;
-  /// Opt-in: also spend retry budget on ResourceExhausted answers (shed
-  /// REPORTs and connection-cap ERROR frames). Off by default — a shed is
-  /// the server's admission decision, and blind retry amplifies overload.
-  bool retry_sheds = false;
-  /// When false, a failure after the request bytes may have reached the
-  /// server returns instead of retrying (set for non-idempotent
-  /// requests). Queries are idempotent; the default resends freely.
-  bool retry_after_send = true;
 };
 
 /// Cumulative per-client counters for the self-healing machinery.

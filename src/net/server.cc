@@ -21,6 +21,12 @@ namespace simsub::net {
 
 namespace {
 
+/// Poll granularity for stop/drain checks at every blocking point.
+constexpr int kPollIntervalMs = 50;
+/// Per-read socket timeout once a frame has started arriving; bounds how
+/// long a stalled peer can pin a handler worker.
+constexpr int kReadTimeoutMs = 10'000;
+
 /// A shed/refusal answer: a full REPORT frame whose status explains the
 /// refusal — clients handle sheds exactly like any other non-OK report.
 engine::QueryReport ShedReport(util::Status status) {
@@ -41,7 +47,6 @@ void AppendLine(std::string& out, const char* name, int64_t value) {
 Server::Server(service::QueryService& service, ServerOptions options)
     : service_(service), options_(options) {
   SIMSUB_CHECK_GE(options_.max_connections, 1);
-  SIMSUB_CHECK_GE(options_.poll_interval_ms, 1);
 }
 
 Server::~Server() { Stop(); }
@@ -112,7 +117,7 @@ void Server::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire) &&
          !draining_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, options_.poll_interval_ms);
+    int ready = ::poll(&pfd, 1, kPollIntervalMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;  // listener gone (Stop() closed it)
@@ -140,16 +145,15 @@ void Server::AcceptLoop() {
         // it must not kill the accept loop. Back off one poll interval
         // (lets handlers release fds) and keep accepting.
         SIMSUB_LOG(Warning) << "accept: " << std::strerror(errno)
-                            << "; backing off " << options_.poll_interval_ms
-                            << "ms";
-        ::poll(nullptr, 0, options_.poll_interval_ms);
+                            << "; backing off " << kPollIntervalMs << "ms";
+        ::poll(nullptr, 0, kPollIntervalMs);
         continue;
       }
       break;  // fatal (e.g. EBADF: Stop() closed the listener)
     }
     timeval tv{};
-    tv.tv_sec = options_.read_timeout_ms / 1000;
-    tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
+    tv.tv_sec = kReadTimeoutMs / 1000;
+    tv.tv_usec = (kReadTimeoutMs % 1000) * 1000;
     ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
     // Connection cap: `active_connections_` is incremented here, before
@@ -175,8 +179,9 @@ void Server::AcceptLoop() {
 bool Server::AdmitQuota(const std::string& client_id) {
   if (options_.quota_qps <= 0.0) return true;
   const double rate = options_.quota_qps;
-  const double burst =
-      options_.quota_burst > 0.0 ? options_.quota_burst : std::max(1.0, rate);
+  // A depth below one token could never admit a query.
+  const double burst = std::max(
+      1.0, options_.quota_burst > 0.0 ? options_.quota_burst : rate);
   auto now = std::chrono::steady_clock::now();
   util::MutexLock lock(quota_mu_);
   // Bound the table against client-id churn (each distinct id is an
@@ -203,7 +208,7 @@ void Server::HandleConnection(int fd) {
   const int max_inflight = ResolvedMaxInflight();
   while (!stop_.load(std::memory_order_acquire)) {
     pollfd pfd{fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, options_.poll_interval_ms);
+    int ready = ::poll(&pfd, 1, kPollIntervalMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -216,7 +221,7 @@ void Server::HandleConnection(int fd) {
       continue;
     }
 
-    auto frame = ReadFrame(fd, options_.max_frame_bytes);
+    auto frame = ReadFrame(fd);
     if (!frame.ok()) {
       std::vector<uint8_t> payload = EncodeError(frame.status());
       (void)WriteFrame(fd, FrameType::kError, payload);

@@ -65,13 +65,6 @@ struct ServerOptions {
   /// and bucket depth (0 = same as the rate, minimum 1).
   double quota_qps = 0.0;
   double quota_burst = 0.0;
-  /// Poll granularity for stop/drain checks at every blocking point.
-  int poll_interval_ms = 50;
-  /// Per-read socket timeout once a frame has started arriving; bounds
-  /// how long a stalled peer can pin a handler worker.
-  int read_timeout_ms = 10'000;
-  /// Refused frames larger than this (see net::kMaxFramePayload).
-  size_t max_frame_bytes = 64u << 20;
 };
 
 /// Cumulative server-side counters (relaxed atomics; see stats()).

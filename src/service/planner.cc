@@ -6,10 +6,8 @@
 
 namespace simsub::service {
 
-QueryPlanner::QueryPlanner(const engine::SimSubEngine& engine,
-                           const Options& options)
-    : engine_(&engine), options_(options) {
-  SIMSUB_CHECK_GT(options.full_scan_threshold, options.grid_threshold);
+QueryPlanner::QueryPlanner(const engine::SimSubEngine& engine)
+    : engine_(&engine) {
   // The engine owns the statistics-at-construction pass: computed from its
   // MBR cache for in-memory databases, loaded from the persisted header for
   // snapshot-backed ones. Either way the planner reads, never recomputes —
@@ -20,16 +18,15 @@ QueryPlanner::QueryPlanner(const engine::SimSubEngine& engine,
   mean_traj_height_ = stats.mean_trajectory_height;
 }
 
-double QueryPlanner::EstimateMbrSelectivity(const geo::Mbr& query_mbr,
-                                            double index_margin) const {
+double QueryPlanner::EstimateMbrSelectivity(const geo::Mbr& query_mbr) const {
   if (extent_.IsEmpty() || query_mbr.IsEmpty()) return 1.0;
   // Two rectangles intersect iff their centers are within (w1+w2)/2 on x and
   // (h1+h2)/2 on y. With trajectory MBR centers spread over the extent, the
   // keep-fraction per axis is the admissible center band over the extent
   // dimension; degenerate extents (all trajectories on one line) keep
   // everything on that axis.
-  double qw = query_mbr.Width() + 2.0 * index_margin;
-  double qh = query_mbr.Height() + 2.0 * index_margin;
+  double qw = query_mbr.Width();
+  double qh = query_mbr.Height();
   double px = extent_.Width() > 0.0
                   ? std::min(1.0, (qw + mean_traj_width_) / extent_.Width())
                   : 1.0;
@@ -39,26 +36,22 @@ double QueryPlanner::EstimateMbrSelectivity(const geo::Mbr& query_mbr,
   return px * py;
 }
 
-PlanDecision QueryPlanner::Plan(std::span<const geo::Point> query,
-                                double index_margin) const {
+PlanDecision QueryPlanner::Plan(std::span<const geo::Point> query) const {
   SIMSUB_CHECK(!query.empty());
   PlanDecision decision;
   decision.estimated_selectivity =
-      EstimateMbrSelectivity(geo::ComputeMbr(query), index_margin);
+      EstimateMbrSelectivity(geo::ComputeMbr(query));
 
   bool has_rtree = engine_->has_index();
-  // The grid filter ignores index_margin, so it is only admissible for
-  // margin-free queries.
-  bool has_grid = engine_->has_inverted_index() && index_margin == 0.0;
+  bool has_grid = engine_->has_inverted_index();
 
   if (!has_rtree && !has_grid) {
     decision.filter = engine::PruningFilter::kNone;
     decision.reason = "no index built";
-  } else if (decision.estimated_selectivity >= options_.full_scan_threshold) {
+  } else if (decision.estimated_selectivity >= kFullScanThreshold) {
     decision.filter = engine::PruningFilter::kNone;
     decision.reason = "filter would keep most of the database";
-  } else if (has_grid &&
-             decision.estimated_selectivity <= options_.grid_threshold) {
+  } else if (has_grid && decision.estimated_selectivity <= kGridThreshold) {
     decision.filter = engine::PruningFilter::kInvertedGrid;
     decision.reason = "localized query; cell-sharing filter pays off";
   } else if (has_rtree) {

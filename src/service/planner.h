@@ -31,33 +31,24 @@ struct PlanDecision {
 
 class QueryPlanner {
  public:
-  struct Options {
-    /// Above this estimated keep-fraction the filter would keep most of the
-    /// database: scan everything and skip the filtering pass.
-    double full_scan_threshold = 0.8;
-    /// At or below this estimate the query is localized enough that the
-    /// stronger (but per-candidate costlier) inverted-grid filter pays off.
-    double grid_threshold = 0.35;
-  };
+  /// Above this estimated keep-fraction the filter would keep most of the
+  /// database: scan everything and skip the filtering pass.
+  static constexpr double kFullScanThreshold = 0.8;
+  /// At or below this estimate the query is localized enough that the
+  /// stronger (but per-candidate costlier) inverted-grid filter pays off.
+  static constexpr double kGridThreshold = 0.35;
 
   /// Reads the database statistics (extent, mean trajectory MBR dimensions)
   /// collected — or, for snapshot-backed engines, loaded from the persisted
   /// header — at engine construction. `engine` must outlive the planner.
-  explicit QueryPlanner(const engine::SimSubEngine& engine)
-      : QueryPlanner(engine, Options()) {}
-  QueryPlanner(const engine::SimSubEngine& engine, const Options& options);
+  explicit QueryPlanner(const engine::SimSubEngine& engine);
 
-  /// Picks the filter for one query. `index_margin` is the R-tree MBR
-  /// inflation the caller would query with; the grid filter has no margin
-  /// support, so a positive margin restricts the choice to none/R-tree.
-  PlanDecision Plan(std::span<const geo::Point> query,
-                    double index_margin = 0.0) const;
+  /// Picks the filter for one query.
+  PlanDecision Plan(std::span<const geo::Point> query) const;
 
-  /// Estimated fraction of trajectory MBRs intersecting the query MBR
-  /// (inflated by `index_margin`), assuming MBR centers spread uniformly
-  /// over the database extent.
-  double EstimateMbrSelectivity(const geo::Mbr& query_mbr,
-                                double index_margin) const;
+  /// Estimated fraction of trajectory MBRs intersecting the query MBR,
+  /// assuming MBR centers spread uniformly over the database extent.
+  double EstimateMbrSelectivity(const geo::Mbr& query_mbr) const;
 
   // Database statistics, exposed for tests and diagnostics.
   const geo::Mbr& extent() const { return extent_; }
@@ -66,7 +57,6 @@ class QueryPlanner {
 
  private:
   const engine::SimSubEngine* engine_;
-  Options options_;
   geo::Mbr extent_;
   double mean_traj_width_ = 0.0;
   double mean_traj_height_ = 0.0;

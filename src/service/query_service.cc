@@ -75,15 +75,11 @@ struct QueryService::ScratchLease {
 
 QueryService::QueryService(engine::SimSubEngine engine, ServiceOptions options)
     : engine_(std::move(engine)),
-      options_(options),
-      planner_(engine_, options.planner),
+      planner_(engine_),
       pool_(std::make_unique<util::ThreadPool>(ResolveThreads(options.threads))),
       worker_scratch_(static_cast<size_t>(pool_->size())) {
-  if (options_.build_rtree) engine_.BuildIndex();
-  if (options_.build_inverted_grid) {
-    engine_.BuildInvertedIndex(options_.inverted_grid_cols,
-                               options_.inverted_grid_rows);
-  }
+  if (options.build_rtree) engine_.BuildIndex();
+  if (options.build_inverted_grid) engine_.BuildInvertedIndex();
 }
 
 QueryService::QueryService(const data::CorpusSnapshot& snapshot,
@@ -183,7 +179,7 @@ engine::QueryReport QueryService::ExecuteSpec(
     plan.estimated_selectivity = -1.0;
     plan.reason = "explicit filter";
   } else {
-    plan = planner_.Plan(spec.points, options_.index_margin);
+    plan = planner_.Plan(spec.points);
   }
 
   engine::QueryReport report;
@@ -208,7 +204,6 @@ engine::QueryReport QueryService::ExecuteSpec(
     engine::QueryOptions eo;
     eo.k = spec.k;
     eo.filter = plan.filter;
-    eo.index_margin = options_.index_margin;
     eo.threads = 1;  // inter-query parallelism only; the scan stays inline
     eo.scratch = scratch;
     eo.prune = spec.prune;

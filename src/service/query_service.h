@@ -58,14 +58,9 @@ namespace simsub::service {
 struct ServiceOptions {
   /// Worker pool width; 0 = hardware concurrency.
   int threads = 0;
-  /// R-tree MBR inflation (meters) applied to every query.
-  double index_margin = 0.0;
   /// Indexes built at construction (the planner only considers built ones).
   bool build_rtree = true;
   bool build_inverted_grid = true;
-  int inverted_grid_cols = 64;
-  int inverted_grid_rows = 64;
-  QueryPlanner::Options planner;
 };
 
 /// Cumulative serving statistics (a coherent-enough snapshot of relaxed
@@ -223,7 +218,6 @@ class QueryService {
   struct ScratchLease;
 
   engine::SimSubEngine engine_;
-  ServiceOptions options_;
   QueryPlanner planner_;
   std::unique_ptr<util::ThreadPool> pool_;
   /// One cache per pool worker, indexed by ThreadPool::WorkerIndex(); pool

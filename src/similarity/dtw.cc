@@ -132,45 +132,4 @@ double BandedDtwDistance(std::span<const geo::Point> a,
   return prev.back();
 }
 
-double DtwDistanceEarlyAbandon(std::span<const geo::Point> a,
-                               std::span<const geo::Point> b, int band,
-                               double threshold) {
-  SIMSUB_CHECK(!a.empty());
-  SIMSUB_CHECK(!b.empty());
-  const size_t n = a.size();
-  const size_t m = b.size();
-  std::vector<double> prev(m, kInf);
-  std::vector<double> cur(m, kInf);
-  for (size_t i = 0; i < n; ++i) {
-    std::fill(cur.begin(), cur.end(), kInf);
-    size_t j_lo = 0;
-    size_t j_hi = m;
-    if (band >= 0) {
-      size_t w = static_cast<size_t>(band);
-      j_lo = i > w ? i - w : 0;
-      j_hi = std::min(m, i + w + 1);
-      if (j_lo >= j_hi) return kInf;
-    }
-    double row_min = kInf;
-    for (size_t j = j_lo; j < j_hi; ++j) {
-      double d = geo::Distance(a[i], b[j]);
-      if (i == 0 && j == 0) {
-        cur[j] = d;
-      } else {
-        double best = kInf;
-        if (i > 0) best = std::min(best, prev[j]);
-        if (j > 0) best = std::min(best, cur[j - 1]);
-        if (i > 0 && j > 0) best = std::min(best, prev[j - 1]);
-        cur[j] = d + best;
-      }
-      row_min = std::min(row_min, cur[j]);
-    }
-    // DTW cost is non-decreasing along any warping path, so once every cell
-    // of a row exceeds the threshold the final distance must as well.
-    if (row_min > threshold) return kInf;
-    prev.swap(cur);
-  }
-  return prev.back();
-}
-
 }  // namespace simsub::similarity

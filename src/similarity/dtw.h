@@ -40,12 +40,6 @@ double DtwDistance(std::span<const geo::Point> a,
 double BandedDtwDistance(std::span<const geo::Point> a,
                          std::span<const geo::Point> b, int band);
 
-/// DTW that abandons early: returns +infinity as soon as every cell of the
-/// current DP row exceeds `threshold` (UCR optimization #2, adapted).
-double DtwDistanceEarlyAbandon(std::span<const geo::Point> a,
-                               std::span<const geo::Point> b, int band,
-                               double threshold);
-
 }  // namespace simsub::similarity
 
 #endif  // SIMSUB_SIMILARITY_DTW_H_

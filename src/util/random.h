@@ -33,8 +33,11 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard normal draw scaled to N(mean, stddev^2).
+  /// Standard normal draw scaled to N(mean, stddev^2). A zero stddev
+  /// returns `mean` without a draw (std::normal_distribution requires
+  /// stddev > 0).
   double Normal(double mean, double stddev) {
+    if (stddev == 0.0) return mean;
     std::normal_distribution<double> dist(mean, stddev);
     return dist(engine_);
   }

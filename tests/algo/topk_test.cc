@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "algo/exacts.h"
@@ -89,8 +90,12 @@ TEST(TopKExactTest, ResultsAreDistinctAndSorted) {
 TEST(TopKExactTest, KLargerThanCandidateCount) {
   auto data = Line({1, 2});
   auto query = Line({1});
-  auto top = TopKExact(kDtw, data, query, 100);
-  EXPECT_EQ(top.size(), 3u);  // (0,0), (1,1), (0,1)
+  // A wire-supplied k may be huge: storage grows with the candidates
+  // offered, not with k.
+  for (int k : {100, std::numeric_limits<int>::max()}) {
+    auto top = TopKExact(kDtw, data, query, k);
+    EXPECT_EQ(top.size(), 3u) << "k=" << k;  // (0,0), (1,1), (0,1)
+  }
 }
 
 TEST(TopKExactTest, MinSizeFiltersShortCandidates) {

@@ -1,6 +1,7 @@
 // Server admission control and lifecycle (net/server.h): the in-flight
 // window sheds with ResourceExhausted while a slow query is executing,
-// per-client quotas bucket by client_id, the connection cap answers an
+// per-client quotas bucket by client_id (at least one token deep), sheds
+// are surfaced without a client retry, the connection cap answers an
 // ERROR and closes, malformed frames are counted and refused, drain
 // finishes in-flight work then stops accepting, and a wire deadline_ms
 // outside the clock's range gets a typed answer.
@@ -130,6 +131,8 @@ TEST(ServerTest, QuotaBucketsAreKeyedByClientId) {
   auto second = a->Query(spec);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->status.code(), util::StatusCode::kResourceExhausted);
+  // A shed is the server's answer: the client surfaces it, never retries.
+  EXPECT_EQ(a->stats().retries, 0);
 
   // A different client_id draws from its own bucket.
   auto other = Client::Connect("127.0.0.1", server.port(), {.client_id = "z"});
@@ -137,6 +140,37 @@ TEST(ServerTest, QuotaBucketsAreKeyedByClientId) {
   auto fresh = other->Query(spec);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(fresh->status.ok());
+
+  EXPECT_EQ(server.stats().shed_quota, 1);
+  server.Stop();
+}
+
+TEST(ServerTest, FractionalQuotaBurstStillAdmitsOneQuery) {
+  // A bucket shallower than one token could never admit anything; the
+  // depth is floored at one, so the first query is served.
+  service::QueryService service = MakeSlowService(/*threads=*/2, 40);
+  geo::Trajectory query = SampleQuery();
+
+  ServerOptions options;
+  options.quota_qps = 0.001;
+  options.quota_burst = 0.5;
+  Server server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  service::QuerySpec spec;
+  spec.points = query.View();
+  spec.k = 3;
+
+  auto client =
+      Client::Connect("127.0.0.1", server.port(), {.client_id = "a"});
+  ASSERT_TRUE(client.ok());
+  auto first = client->Query(spec);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first->status.ok()) << first->status.ToString();
+
+  auto second = client->Query(spec);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->status.code(), util::StatusCode::kResourceExhausted);
 
   EXPECT_EQ(server.stats().shed_quota, 1);
   server.Stop();

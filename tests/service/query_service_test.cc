@@ -227,22 +227,6 @@ TEST(QueryPlannerTest, NoIndexesMeansFullScan) {
   EXPECT_STREQ(decision.reason, "no index built");
 }
 
-TEST(QueryPlannerTest, PositiveMarginExcludesTheGridFilter) {
-  data::Dataset d = SmallDataset();
-  engine::SimSubEngine engine(std::move(d.trajectories));
-  engine.BuildIndex();
-  engine.BuildInvertedIndex();
-  QueryPlanner planner(engine);
-  double cx = planner.extent().CenterX();
-  double cy = planner.extent().CenterY();
-  std::vector<geo::Point> tiny = {geo::Point(cx, cy),
-                                  geo::Point(cx + 1.0, cy + 1.0)};
-  // The inverted grid cannot honor an MBR margin, so the planner must not
-  // pick it when one is requested.
-  PlanDecision decision = planner.Plan(tiny, /*index_margin=*/50.0);
-  EXPECT_NE(decision.filter, engine::PruningFilter::kInvertedGrid);
-}
-
 TEST(QueryPlannerTest, SelectivityGrowsWithQueryExtent) {
   data::Dataset d = SmallDataset();
   engine::SimSubEngine engine(std::move(d.trajectories));
@@ -252,12 +236,10 @@ TEST(QueryPlannerTest, SelectivityGrowsWithQueryExtent) {
                               planner.extent().CenterY()));
   small_box.Extend(geo::Point(planner.extent().CenterX() + 10.0,
                               planner.extent().CenterY() + 10.0));
-  double small = planner.EstimateMbrSelectivity(small_box, 0.0);
-  double whole = planner.EstimateMbrSelectivity(planner.extent(), 0.0);
+  double small = planner.EstimateMbrSelectivity(small_box);
+  double whole = planner.EstimateMbrSelectivity(planner.extent());
   EXPECT_LT(small, whole);
   EXPECT_LE(whole, 1.0);
-  // Margin inflates the effective query box, never shrinking the estimate.
-  EXPECT_GE(planner.EstimateMbrSelectivity(small_box, 100.0), small);
 }
 
 }  // namespace

@@ -125,22 +125,5 @@ TEST(BandedDtwTest, TighterBandNeverSmaller) {
   }
 }
 
-TEST(EarlyAbandonDtwTest, AgreesWhenUnderThreshold) {
-  auto a = Line({0, 1, 3, 2});
-  auto b = Line({1, 2, 2});
-  double exact = DtwDistance(a, b);
-  EXPECT_DOUBLE_EQ(
-      DtwDistanceEarlyAbandon(a, b, -1,
-                              std::numeric_limits<double>::infinity()),
-      exact);
-  EXPECT_DOUBLE_EQ(DtwDistanceEarlyAbandon(a, b, -1, exact + 1.0), exact);
-}
-
-TEST(EarlyAbandonDtwTest, AbandonsOverThreshold) {
-  auto a = Line({100, 200, 300});
-  auto b = Line({0, 0});
-  EXPECT_TRUE(std::isinf(DtwDistanceEarlyAbandon(a, b, -1, 1.0)));
-}
-
 }  // namespace
 }  // namespace simsub::similarity

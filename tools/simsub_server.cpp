@@ -146,7 +146,8 @@ int main(int argc, char** argv) {
   flags.AddDouble("quota_qps", &quota_qps,
                   "per-client sustained queries/second (0 = quotas off)");
   flags.AddDouble("quota_burst", &quota_burst,
-                  "per-client token bucket depth (0 = same as rate)");
+                  "per-client token bucket depth (0 = same as rate; "
+                  "minimum 1)");
   flags.AddInt("drain_ms", &drain_ms, "graceful drain budget on SIGTERM");
   flags.AddString("pid_file", &pid_file,
                   "write the server pid here once listening; removed on a "
