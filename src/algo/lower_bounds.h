@@ -1,5 +1,5 @@
-// Cheap lower bounds on subtrajectory similarity — the pruning cascade
-// shared by the UCR-adapted matcher and the database engine.
+// Cheap lower bounds on subtrajectory similarity, shared by the
+// UCR-adapted matcher and the database engine's best-first scan.
 //
 // The UCR suite (Rakthanmanon et al., KDD 2012) gets its speed from a
 // cascade of ever-tighter, ever-costlier lower bounds that discard
@@ -9,10 +9,16 @@
 //    (moved out of ucr.cc so other matchers can build them);
 //  * MbrLowerBound — an O(1) LB_KimFL-style bound from the data
 //    trajectory's MBR: every warping path must align the first and last
-//    query point with SOME data point, each at least the MBR distance away;
+//    query point with SOME data point, each at least the MBR distance away.
+//    Never tighter than the next bound, so the engine does not call it; it
+//    stays for the benchmark's per-layer replay and the bound tests;
 //  * NearestEndpointLowerBound — the O(n) vectorized tightening of the same
 //    bound using the exact nearest data point per query endpoint (computed
-//    over the engine's cached SoA copy of the trajectory).
+//    over the engine's cached SoA copy of the trajectory). It is the sort
+//    key of engine::SimSubEngine::Query's best-first scan: candidates are
+//    visited in ascending bound, and the scan stops at the first bound
+//    above the best-kth exact distance — the optimal multi-step k-NN
+//    strategy (Seidl & Kriegel, SIGMOD 1998).
 //
 // Both endpoint bounds are valid for the WHOLE-trajectory optimum: they
 // bound dist(sub, query) for every subtrajectory simultaneously, because a

@@ -100,8 +100,8 @@ class SubtrajectorySearch {
   /// The similarity measure this search evaluates candidates with, when it
   /// is measure-driven (ExactS, SizeS, the splitting family); null for
   /// algorithms without one single measure (e.g. learned policies over
-  /// mixed signals). The engine's lower-bound cascade keys on the measure's
-  /// aggregation() to decide which MBR bounds are sound.
+  /// mixed signals). The engine's best-first scan keys on the measure's
+  /// aggregation() to decide whether its endpoint bound is sound.
   virtual const similarity::SimilarityMeasure* measure() const {
     return nullptr;
   }

@@ -5,6 +5,7 @@
 #include <future>
 #include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "algo/lower_bounds.h"
@@ -182,17 +183,33 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
   const similarity::DistanceAggregation agg =
       measure != nullptr ? measure->aggregation()
                          : similarity::DistanceAggregation::kOther;
-  if (agg != similarity::DistanceAggregation::kOther) {
-    // Warm the lazy SoA cache on the coordinating thread, not under the
-    // workers' first nearest-endpoint call.
-    EnsureSoa();
-  }
+  const bool best_first = agg != similarity::DistanceAggregation::kOther;
 
-  auto scan_range = [&](size_t lo, size_t hi, TopKHeap& heap,
-                        int64_t& scanned, int64_t& lb_skipped,
-                        int64_t& dp_abandoned,
-                        similarity::EvaluatorCache* scratch) {
-    for (size_t c = lo; c < hi; ++c) {
+  // Visit order, one (lower bound, ordinal) per non-empty candidate. Best-
+  // first sorts by the nearest-endpoint bound, which bounds dist(sub, query)
+  // for every subtrajectory, so a partition can stop at its first bound
+  // above the kth best (Seidl & Kriegel's optimal multi-step k-NN). Other
+  // scans keep ordinal order; their bound of -inf never stops them.
+  std::vector<std::pair<double, int64_t>> order;
+  order.reserve(candidates.size());
+  for (int64_t ordinal : candidates) {
+    if (database_[static_cast<size_t>(ordinal)].empty()) continue;
+    double bound = -kInf;
+    if (best_first) {
+      bound = algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
+                                              query);
+      // A NaN coordinate gives no bound; 0 keeps the sort order strict.
+      if (!(bound >= 0.0)) bound = 0.0;
+    }
+    order.emplace_back(bound, ordinal);
+  }
+  if (best_first) std::sort(order.begin(), order.end());
+
+  // One scan partition: order[first], order[first + stride], ...
+  auto scan = [&](size_t first, size_t stride, TopKHeap& heap,
+                  int64_t& scanned, int64_t& lb_skipped,
+                  int64_t& dp_abandoned, similarity::EvaluatorCache* scratch) {
+    for (size_t i = first; i < order.size(); i += stride) {
       // Cooperative cancellation between per-trajectory searches: a relaxed
       // load per candidate is noise next to even one DP row.
       if (options.cancel != nullptr &&
@@ -209,10 +226,7 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
         expired.store(true, std::memory_order_relaxed);
         return;
       }
-      const int64_t ordinal = candidates[c];
-      const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
-      if (traj.empty()) continue;
-      ++scanned;
+      const auto [bound, ordinal] = order[i];
 
       double threshold = kInf;
       if (options.prune) {
@@ -223,21 +237,20 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
             std::min(threshold, shared_bound.load(std::memory_order_relaxed));
       }
 
-      // Lower-bound cascade: O(1) MBR endpoint bound, then the O(n)
-      // vectorized nearest-endpoint bound over the cached SoA copy. Both
-      // bound dist(sub, query) for EVERY subtrajectory, so a strict excess
-      // over the best-kth threshold discards the whole trajectory.
-      if (threshold < kInf &&
-          agg != similarity::DistanceAggregation::kOther) {
-        if (algo::MbrLowerBound(agg, TrajectoryMbr(ordinal), query) >
-                threshold ||
-            algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
-                                            query) > threshold) {
-          ++lb_skipped;
-          continue;
-        }
+      // Best-first stop: the rest of this partition has bounds at least this
+      // one, and the threshold only falls, so a strict excess here rules
+      // them all out. They count as scanned and skipped, so a completed
+      // query scans every non-empty candidate at any thread count.
+      if (bound > threshold) {
+        const auto rest =
+            static_cast<int64_t>((order.size() - i + stride - 1) / stride);
+        scanned += rest;
+        lb_skipped += rest;
+        return;
       }
+      ++scanned;
 
+      const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
       algo::SearchResult r =
           options.prune ? search.Search(traj.View(), query, scratch, threshold)
                         : search.Search(traj.View(), query, scratch);
@@ -259,8 +272,7 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
   // a worker of the target pool, where blocking on our own futures could
   // deadlock (every worker waiting on tasks stuck behind it in the queue).
   bool sequential = options.threads <= 1 ||
-                    candidates.size() <
-                        2 * static_cast<size_t>(options.threads) ||
+                    order.size() < 2 * static_cast<size_t>(options.threads) ||
                     pool.OnWorkerThread();
 
   TopKHeap heap;
@@ -268,12 +280,13 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
     similarity::EvaluatorCache local_scratch;
     similarity::EvaluatorCache* scratch =
         options.scratch != nullptr ? options.scratch : &local_scratch;
-    scan_range(0, candidates.size(), heap, report.trajectories_scanned,
-               report.lb_skipped, report.dp_abandoned, scratch);
+    scan(0, 1, heap, report.trajectories_scanned, report.lb_skipped,
+         report.dp_abandoned, scratch);
   } else {
-    // Partition candidates into one task per requested thread; each task
-    // keeps a local top-k heap and evaluator scratch, merged after the
-    // futures resolve. The per-trajectory search objects must be
+    // One task per requested thread, each taking every workers-th entry of
+    // the visit order, so every partition starts on low-bound candidates.
+    // Each task keeps a local top-k heap and evaluator scratch, merged
+    // after the futures resolve. The per-trajectory search objects must be
     // thread-compatible — all algorithms except Random-S are (they share no
     // mutable state). The deterministic EntryBetter order makes the merged
     // top-k independent of the partitioning.
@@ -283,20 +296,16 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
     std::vector<int64_t> lb_skipped(workers, 0);
     std::vector<int64_t> dp_abandoned(workers, 0);
     std::vector<std::future<void>> futures;
-    size_t chunk = (candidates.size() + workers - 1) / workers;
     for (size_t w = 0; w < workers; ++w) {
-      size_t lo = w * chunk;
-      size_t hi = std::min(candidates.size(), lo + chunk);
-      if (lo >= hi) break;
-      futures.push_back(pool.Submit([&, lo, hi, w] {
-        similarity::EvaluatorCache chunk_scratch;
-        scan_range(lo, hi, heaps[w], scanned[w], lb_skipped[w],
-                   dp_abandoned[w], &chunk_scratch);
+      futures.push_back(pool.Submit([&, w] {
+        similarity::EvaluatorCache worker_scratch;
+        scan(w, workers, heaps[w], scanned[w], lb_skipped[w],
+             dp_abandoned[w], &worker_scratch);
       }));
     }
     // Drain every future before propagating any failure: rethrowing while
     // sibling tasks still run would unwind the stack frame their captured
-    // references (heaps, scanned, candidates) point into.
+    // references (heaps, scanned, order) point into.
     std::exception_ptr first_error;
     for (auto& f : futures) {
       try {

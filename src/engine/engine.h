@@ -9,12 +9,14 @@
 // deterministic regardless of the thread count: top-k ties are broken by
 // (distance, trajectory_id, range.start, range.end).
 //
-// Top-k queries additionally run a lower-bound pruning cascade (UCR-style,
-// see algo/lower_bounds.h): a best-kth-distance threshold shared atomically
-// across workers discards candidates from their cached MBR / SoA lower
-// bounds and early-abandons the DP inside the per-trajectory search.
-// Pruned results are bit-identical to unpruned ones at any thread count;
-// QueryOptions::prune turns the cascade off for measurement.
+// Top-k queries with a sum- or max-aggregating measure run best-first
+// (Seidl & Kriegel, SIGMOD 1998; see algo/lower_bounds.h): candidates are
+// visited in ascending nearest-endpoint lower bound over the cached SoA
+// copies, and each scan partition stops at its first bound above its
+// best-kth distance, which is shared atomically across workers and also
+// early-abandons the DP inside the per-trajectory search. Pruned results
+// are bit-identical to unpruned ones at any thread count;
+// QueryOptions::prune turns pruning off for measurement.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
 #define SIMSUB_ENGINE_ENGINE_H_
 
@@ -71,11 +73,12 @@ struct QueryReport {
   std::vector<TopKEntry> results;  // ascending by EntryBetter
   int64_t trajectories_scanned = 0;
   int64_t trajectories_pruned = 0;
-  /// Candidates discarded by the lower-bound cascade (MBR or
-  /// nearest-endpoint bound already above the best-kth distance) without
-  /// running the per-trajectory search. Counted within
-  /// trajectories_scanned. Timing-dependent under multi-threaded scans
-  /// (the shared bound tightens as workers progress); the RESULTS are not.
+  /// Candidates never searched because a best-first partition stopped
+  /// before them: its next nearest-endpoint bound was already above the
+  /// best-kth distance, and every candidate it had left counts here.
+  /// Counted within trajectories_scanned. Timing-dependent under
+  /// multi-threaded scans (the shared bound tightens as workers progress);
+  /// the RESULTS are not.
   int64_t lb_skipped = 0;
   /// Start points whose DP extension scan was abandoned early inside the
   /// per-trajectory search (best-so-far / bailout threshold exceeded).
@@ -112,12 +115,15 @@ struct QueryOptions {
   /// Caller-owned per-worker evaluator scratch, used by the sequential path
   /// (parallel partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
-  /// Lower-bound pruning cascade: maintain a best-kth-distance threshold
-  /// (shared atomically across scan partitions), discard candidates whose
-  /// MBR / nearest-endpoint lower bound exceeds it, and pass it into the
-  /// search as a DP bailout. Results are bit-identical with pruning on or
-  /// off — only candidates that provably cannot enter the top-k (strictly
-  /// worse than the kth best, so no tie-break can admit them) are skipped.
+  /// Lower-bound pruning: maintain a best-kth-distance threshold (shared
+  /// atomically across scan partitions) and pass it into the search as a
+  /// DP bailout. With a sum- or max-aggregating measure the scan also runs
+  /// best-first: candidates in ascending nearest-endpoint lower bound,
+  /// each partition stopping at its first bound above the threshold.
+  /// Results are bit-identical with pruning on or off — only candidates
+  /// that provably cannot enter the top-k (strictly worse than the kth
+  /// best, so no tie-break can admit them) are skipped. Off, the scan
+  /// visits candidates in ordinal order and runs every search in full.
   bool prune = true;
   /// Cooperative cancellation flag (caller-owned, may be flipped from any
   /// thread). Checked between per-trajectory searches in every scan
@@ -230,13 +236,13 @@ class SimSubEngine {
           std::chrono::steady_clock::time_point::max()) const;
 
   /// Cached per-trajectory MBRs (built at construction — tiny, and shared
-  /// by the index builders and the cascade's O(1) bound).
+  /// by the index builders and callers of algo::MbrLowerBound).
   const geo::Mbr& TrajectoryMbr(int64_t ordinal) const {
     return mbrs_[static_cast<size_t>(ordinal)];
   }
 
   /// Cached SoA coordinate view of a data trajectory, for vectorized
-  /// passes (the cascade's nearest-endpoint bound). When the engine was
+  /// passes (the best-first scan's nearest-endpoint bound). When the engine was
   /// constructed over a snapshot these are zero-copy views into the mapped
   /// columns. Otherwise they point into an owning corpus-level
   /// geo::PointsStore that duplicates ~2/3 of the database's coordinate

@@ -134,7 +134,7 @@ class SimilarityMeasure {
   virtual bool ReversalPreservesDistance() const { return true; }
 
   /// Aggregation family for lower-bound pruning; kOther (the safe default)
-  /// opts the measure out of the engine's MBR cascade.
+  /// opts the measure out of the engine's best-first scan.
   virtual DistanceAggregation aggregation() const {
     return DistanceAggregation::kOther;
   }

@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algo/exacts.h"
+#include "algo/sizes.h"
 #include "data/generator.h"
 #include "similarity/dtw.h"
+#include "similarity/frechet.h"
 
 namespace simsub::engine {
 namespace {
@@ -274,6 +278,52 @@ TEST(EngineTest, ParallelWithFilterMatchesSequential) {
   ASSERT_EQ(seq.results.size(), par.results.size());
   for (size_t i = 0; i < seq.results.size(); ++i) {
     EXPECT_EQ(seq.results[i].trajectory_id, par.results[i].trajectory_id);
+  }
+}
+
+TEST(EngineTest, BestFirstScanSearchesOnlyTheExactMatch) {
+  // The query is cut from the LAST trajectory, so an ordinal scan meets its
+  // zero-distance answer last. Best-first visits it first (its
+  // nearest-endpoint bound is 0) and every other bound is above 0, so a
+  // sequential scan searches one trajectory and skips the rest.
+  data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 40, 733);
+  SimSubEngine engine(d.trajectories);
+  const geo::Trajectory& target = d.trajectories.back();
+  std::vector<geo::Point> query(target.points().begin() + 5,
+                                target.points().begin() + 25);
+  similarity::FrechetMeasure frechet;
+  for (const similarity::SimilarityMeasure* m :
+       {static_cast<const similarity::SimilarityMeasure*>(&kDtw),
+        static_cast<const similarity::SimilarityMeasure*>(&frechet)}) {
+    algo::ExactS exact(m);
+    algo::SizeS sizes(m, /*xi=*/5);
+    for (const algo::SubtrajectorySearch* search :
+         {static_cast<const algo::SubtrajectorySearch*>(&exact),
+          static_cast<const algo::SubtrajectorySearch*>(&sizes)}) {
+      const std::string label = m->name() + "/" + search->name();
+      QueryReport seq = RunQuery(engine, query, *search, /*k=*/1);
+      ASSERT_EQ(seq.results.size(), 1u) << label;
+      EXPECT_EQ(seq.results[0].trajectory_id, target.id()) << label;
+      EXPECT_EQ(seq.results[0].distance, 0.0) << label;
+      EXPECT_EQ(seq.trajectories_scanned, 40) << label;
+      EXPECT_EQ(seq.trajectories_scanned - seq.lb_skipped, 1) << label;
+
+      // Three partitions find the same answer and still count every
+      // candidate as scanned. Under Frechet each partition's first distance
+      // is already below the bound of its next candidate, so at most three
+      // searches run whatever the timing. Under DTW a partition keeps
+      // searching until the shared bound of 0 reaches it, so its count
+      // depends on timing and is not pinned.
+      QueryReport par = RunQuery(engine, query, *search, /*k=*/1,
+                                 PruningFilter::kNone, /*threads=*/3);
+      ASSERT_EQ(par.results.size(), 1u) << label;
+      EXPECT_EQ(par.results[0].trajectory_id, target.id()) << label;
+      EXPECT_EQ(par.results[0].distance, 0.0) << label;
+      EXPECT_EQ(par.trajectories_scanned, 40) << label;
+      if (m == &frechet) {
+        EXPECT_LE(par.trajectories_scanned - par.lb_skipped, 3) << label;
+      }
+    }
   }
 }
 

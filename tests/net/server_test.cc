@@ -52,6 +52,7 @@ service::QuerySpec SlowSpec(const geo::Trajectory& query) {
   spec.algorithm = "exacts";
   spec.k = 5;
   spec.filter = engine::PruningFilter::kNone;
+  spec.prune = false;
   return spec;
 }
 

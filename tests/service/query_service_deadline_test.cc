@@ -44,6 +44,7 @@ QuerySpec SlowSpec(const geo::Trajectory& query) {
   spec.algorithm = "exacts";
   spec.k = 5;
   spec.filter = engine::PruningFilter::kNone;  // full scan, no pruning
+  spec.prune = false;
   return spec;
 }
 
