@@ -3,12 +3,13 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace simsub::algo {
 
 RandomSSearch::RandomSSearch(const similarity::SimilarityMeasure* measure,
                              int sample_size, uint64_t seed)
-    : measure_(measure), sample_size_(sample_size), rng_(seed) {
+    : measure_(measure), sample_size_(sample_size), seed_(seed) {
   SIMSUB_CHECK(measure != nullptr);
   SIMSUB_CHECK_GT(sample_size, 0);
 }
@@ -22,12 +23,13 @@ SearchResult RandomSSearch::DoSearch(std::span<const geo::Point> data,
   const int64_t n = static_cast<int64_t>(data.size());
   const int64_t total = n * (n + 1) / 2;
   SearchResult result;
+  util::Rng rng(seed_);
   auto eval = measure_->NewEvaluator(query);
   for (int s = 0; s < sample_size_; ++s) {
     // Decode a uniform draw over the triangular range index space: ranges
     // are ordered (0,0), (0,1) ... (0,n-1), (1,1), ... so start row i owns
     // n - i consecutive indices.
-    int64_t idx = rng_.UniformInt(0, total - 1);
+    int64_t idx = rng.UniformInt(0, total - 1);
     int64_t i = 0;
     int64_t row_size = n;
     while (idx >= row_size) {

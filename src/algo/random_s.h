@@ -6,13 +6,17 @@
 #ifndef SIMSUB_ALGO_RANDOM_S_H_
 #define SIMSUB_ALGO_RANDOM_S_H_
 
+#include <cstdint>
+
 #include "algo/search.h"
 #include "similarity/measure.h"
-#include "util/random.h"
 
 namespace simsub::algo {
 
-/// Uniform random sampling baseline.
+/// Uniform random sampling baseline. Every Search draws the first
+/// `sample_size` values of the stream `seed` starts, so a search is a pure
+/// function of (data, query): immutable and safe to share across threads,
+/// like every other algorithm.
 class RandomSSearch : public SubtrajectorySearch {
  public:
   RandomSSearch(const similarity::SimilarityMeasure* measure, int sample_size,
@@ -21,9 +25,6 @@ class RandomSSearch : public SubtrajectorySearch {
   std::string name() const override { return "Random-S"; }
 
   int sample_size() const { return sample_size_; }
-
-  // Note: Search() is not thread-safe — it draws from an internal
-  // deterministic stream.
 
  protected:
   // (see SubtrajectorySearch::Search)
@@ -35,7 +36,7 @@ class RandomSSearch : public SubtrajectorySearch {
  private:
   const similarity::SimilarityMeasure* measure_;
   int sample_size_;
-  mutable util::Rng rng_;
+  uint64_t seed_;
 };
 
 }  // namespace simsub::algo

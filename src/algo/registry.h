@@ -43,8 +43,7 @@ struct SearchOptions {
 /// DTW-hardcoded "spring"/"ucr").
 ///
 /// Thread safety: every returned search is immutable and safe to share
-/// across threads except "random-s", which draws from an internal RNG
-/// stream — give each thread (or each request) its own instance.
+/// across threads ("random-s" replays its seed's stream on every call).
 [[nodiscard]] util::Result<std::unique_ptr<SubtrajectorySearch>> MakeSearch(
     const std::string& name, const similarity::SimilarityMeasure* measure,
     const SearchOptions& options = {});

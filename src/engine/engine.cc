@@ -149,9 +149,11 @@ std::vector<int64_t> SimSubEngine::CandidateOrdinals(
   return all;
 }
 
-QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
-                                const algo::SubtrajectorySearch& search,
-                                const QueryOptions& options) const {
+template <typename Step>
+QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
+                               const similarity::SimilarityMeasure* measure,
+                               const QueryOptions& options,
+                               const Step& step) const {
   SIMSUB_CHECK(!query.empty());
   SIMSUB_CHECK_GT(options.k, 0);
   SIMSUB_CHECK_GE(options.threads, 1);
@@ -178,11 +180,10 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
   // found entries and can never enter the merged top-k — not even through
   // the (distance, id, range) tie-break, which requires distance equality.
   std::atomic<double> shared_bound{kInf};
-  const similarity::SimilarityMeasure* measure =
-      options.prune ? search.measure() : nullptr;
   const similarity::DistanceAggregation agg =
-      measure != nullptr ? measure->aggregation()
-                         : similarity::DistanceAggregation::kOther;
+      options.prune && measure != nullptr
+          ? measure->aggregation()
+          : similarity::DistanceAggregation::kOther;
   const bool best_first = agg != similarity::DistanceAggregation::kOther;
 
   // Visit order, one (lower bound, ordinal) per non-empty candidate. Best-
@@ -250,12 +251,8 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
       }
       ++scanned;
 
-      const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
-      algo::SearchResult r =
-          options.prune ? search.Search(traj.View(), query, scratch, threshold)
-                        : search.Search(traj.View(), query, scratch);
-      dp_abandoned += r.stats.abandoned;
-      OfferEntry(heap, options.k, TopKEntry{traj.id(), r.best, r.distance});
+      dp_abandoned += step(database_[static_cast<size_t>(ordinal)], threshold,
+                           scratch, heap);
 
       if (options.prune && static_cast<int>(heap.size()) == options.k) {
         double kth = heap.top().distance;
@@ -287,9 +284,9 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
     // the visit order, so every partition starts on low-bound candidates.
     // Each task keeps a local top-k heap and evaluator scratch, merged
     // after the futures resolve. The per-trajectory search objects must be
-    // thread-compatible — all algorithms except Random-S are (they share no
-    // mutable state). The deterministic EntryBetter order makes the merged
-    // top-k independent of the partitioning.
+    // thread-compatible — every algorithm is (searches are immutable). The
+    // deterministic EntryBetter order makes the merged top-k independent of
+    // the partitioning.
     size_t workers = static_cast<size_t>(options.threads);
     std::vector<TopKHeap> heaps(workers);
     std::vector<int64_t> scanned(workers, 0);
@@ -338,6 +335,22 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
   return report;
 }
 
+QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
+                                const algo::SubtrajectorySearch& search,
+                                const QueryOptions& options) const {
+  return Scan(query, search.measure(), options,
+              [&](const geo::Trajectory& traj, double threshold,
+                  similarity::EvaluatorCache* scratch, TopKHeap& heap) {
+                algo::SearchResult r =
+                    options.prune
+                        ? search.Search(traj.View(), query, scratch, threshold)
+                        : search.Search(traj.View(), query, scratch);
+                OfferEntry(heap, options.k,
+                           TopKEntry{traj.id(), r.best, r.distance});
+                return r.stats.abandoned;
+              });
+}
+
 std::vector<QueryReport> SimSubEngine::QueryBatch(
     std::span<const BatchedQueryView> queries,
     const algo::SubtrajectorySearch& search,
@@ -360,43 +373,20 @@ std::vector<QueryReport> SimSubEngine::QueryBatch(
 
 QueryReport SimSubEngine::QueryTopKSubtrajectories(
     std::span<const geo::Point> query,
-    const similarity::SimilarityMeasure& measure, int k, PruningFilter filter,
-    int min_size, const std::atomic<bool>* cancel,
-    std::chrono::steady_clock::time_point deadline) const {
-  SIMSUB_CHECK(!query.empty());
-  SIMSUB_CHECK_GT(k, 0);
-  util::Stopwatch timer;
-  QueryReport report;
-  report.filter_used = filter;
-  std::vector<int64_t> candidates = CandidateOrdinals(query, filter);
-  report.trajectories_pruned = static_cast<int64_t>(database_.size()) -
-                               static_cast<int64_t>(candidates.size());
-  const bool has_deadline =
-      deadline != std::chrono::steady_clock::time_point::max();
-  TopKHeap heap;
-  for (int64_t ordinal : candidates) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      report.status = util::Status::Cancelled("query cancelled mid-scan");
-      break;
-    }
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
-      report.status = util::Status::DeadlineExceeded(
-          "deadline expired mid-scan (partial results)");
-      break;
-    }
-    const geo::Trajectory& traj = database_[static_cast<size_t>(ordinal)];
-    if (traj.empty()) continue;
-    ++report.trajectories_scanned;
-    // Per-trajectory cap of k suffices: at most k global winners can come
-    // from one trajectory.
-    for (const algo::RankedCandidate& cand :
-         algo::TopKExact(measure, traj.View(), query, k, min_size)) {
-      OfferEntry(heap, k, TopKEntry{traj.id(), cand.range, cand.distance});
-    }
-  }
-  report.results = ExtractAscending(heap);
-  report.seconds = timer.ElapsedSeconds();
-  return report;
+    const similarity::SimilarityMeasure& measure, int min_size,
+    const QueryOptions& options) const {
+  return Scan(query, &measure, options,
+              [&](const geo::Trajectory& traj, double /*threshold*/,
+                  similarity::EvaluatorCache* /*scratch*/, TopKHeap& heap) {
+                // Per-trajectory cap of k suffices: at most k global winners
+                // can come from one trajectory.
+                for (const algo::RankedCandidate& cand : algo::TopKExact(
+                         measure, traj.View(), query, options.k, min_size)) {
+                  OfferEntry(heap, options.k,
+                             TopKEntry{traj.id(), cand.range, cand.distance});
+                }
+                return int64_t{0};
+              });
 }
 
 }  // namespace simsub::engine

@@ -9,14 +9,16 @@
 // deterministic regardless of the thread count: top-k ties are broken by
 // (distance, trajectory_id, range.start, range.end).
 //
-// Top-k queries with a sum- or max-aggregating measure run best-first
-// (Seidl & Kriegel, SIGMOD 1998; see algo/lower_bounds.h): candidates are
-// visited in ascending nearest-endpoint lower bound over the cached SoA
-// copies, and each scan partition stops at its first bound above its
-// best-kth distance, which is shared atomically across workers and also
-// early-abandons the DP inside the per-trajectory search. Pruned results
-// are bit-identical to unpruned ones at any thread count;
-// QueryOptions::prune turns pruning off for measurement.
+// Query (one answer per data trajectory) and QueryTopKSubtrajectories (any
+// number per trajectory) share one scan loop. With a sum- or max-aggregating
+// measure it runs best-first (Seidl & Kriegel, SIGMOD 1998; see
+// algo/lower_bounds.h): candidates are visited in ascending nearest-endpoint
+// lower bound over the cached SoA copies, and each scan partition stops at
+// its first bound above its best-kth distance, which is shared atomically
+// across workers and also early-abandons the DP inside Query's
+// per-trajectory search. Pruned results are bit-identical to unpruned ones
+// at any thread count; QueryOptions::prune turns pruning off for
+// measurement.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
 #define SIMSUB_ENGINE_ENGINE_H_
 
@@ -105,7 +107,8 @@ struct QueryReport {
   const char* plan_reason = "";
 };
 
-/// Execution knobs for SimSubEngine::Query.
+/// Execution knobs for SimSubEngine::Query and
+/// SimSubEngine::QueryTopKSubtrajectories.
 struct QueryOptions {
   int k = 1;
   PruningFilter filter = PruningFilter::kNone;
@@ -116,14 +119,15 @@ struct QueryOptions {
   /// (parallel partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
   /// Lower-bound pruning: maintain a best-kth-distance threshold (shared
-  /// atomically across scan partitions) and pass it into the search as a
-  /// DP bailout. With a sum- or max-aggregating measure the scan also runs
-  /// best-first: candidates in ascending nearest-endpoint lower bound,
-  /// each partition stopping at its first bound above the threshold.
-  /// Results are bit-identical with pruning on or off — only candidates
-  /// that provably cannot enter the top-k (strictly worse than the kth
-  /// best, so no tie-break can admit them) are skipped. Off, the scan
-  /// visits candidates in ordinal order and runs every search in full.
+  /// atomically across scan partitions) and, in Query, pass it into the
+  /// search as a DP bailout. With a sum- or max-aggregating measure the
+  /// scan of both entry points also runs best-first: candidates in
+  /// ascending nearest-endpoint lower bound, each partition stopping at its
+  /// first bound above the threshold. Results are bit-identical with
+  /// pruning on or off — only candidates that provably cannot enter the
+  /// top-k (strictly worse than the kth best, so no tie-break can admit
+  /// them) are skipped. Off, the scan visits candidates in ordinal order
+  /// and runs every search in full.
   bool prune = true;
   /// Cooperative cancellation flag (caller-owned, may be flipped from any
   /// thread). Checked between per-trajectory searches in every scan
@@ -219,21 +223,18 @@ class SimSubEngine {
   /// Global *subtrajectory-level* top-k (paper Section 3.1's "top-k similar
   /// subtrajectories" generalization): exhaustively enumerates every
   /// subtrajectory of every candidate trajectory with the incremental
-  /// evaluator and keeps the k best overall — a data trajectory may
-  /// contribute several results. `min_size` filters near-duplicate
-  /// single-point answers (see algo::TopKExact). `cancel` is the same
-  /// cooperative flag as QueryOptions::cancel: checked between per-
-  /// trajectory enumerations; once set, the scan stops and the report comes
-  /// back with status Cancelled and partial results. `deadline` mirrors
-  /// QueryOptions::deadline: checked in the same enumeration loop; past
-  /// it, the report comes back DeadlineExceeded with partial results.
+  /// evaluator (algo::TopKExact) and keeps the options.k best overall — a
+  /// data trajectory may contribute several results. `min_size` filters
+  /// near-duplicate single-point answers. Shares Query's scan, so every
+  /// QueryOptions field means the same here: filter, partitions, the
+  /// best-first stop (the nearest-endpoint bound holds for every
+  /// subtrajectory of a candidate), cancellation, deadline and counters.
+  /// The scratch cache goes unused, and no DP is abandoned. Results are
+  /// identical for any `threads` and `prune` value.
   QueryReport QueryTopKSubtrajectories(
       std::span<const geo::Point> query,
-      const similarity::SimilarityMeasure& measure, int k,
-      PruningFilter filter = PruningFilter::kNone, int min_size = 1,
-      const std::atomic<bool>* cancel = nullptr,
-      std::chrono::steady_clock::time_point deadline =
-          std::chrono::steady_clock::time_point::max()) const;
+      const similarity::SimilarityMeasure& measure, int min_size,
+      const QueryOptions& options) const;
 
   /// Cached per-trajectory MBRs (built at construction — tiny, and shared
   /// by the index builders and callers of algo::MbrLowerBound).
@@ -266,6 +267,17 @@ class SimSubEngine {
  private:
   std::vector<int64_t> CandidateOrdinals(std::span<const geo::Point> query,
                                          PruningFilter filter) const;
+
+  /// The one scan loop behind Query and QueryTopKSubtrajectories. `step`
+  /// searches one trajectory, offers its entries to the partition's heap
+  /// and returns its abandoned-DP count; its arguments are the trajectory,
+  /// the partition's best-kth threshold (+infinity until known, and always
+  /// with pruning off), the partition's evaluator scratch and its heap.
+  /// `measure` (may be null) keys the best-first order.
+  template <typename Step>
+  QueryReport Scan(std::span<const geo::Point> query,
+                   const similarity::SimilarityMeasure* measure,
+                   const QueryOptions& options, const Step& step) const;
 
   /// Lazily-built owning SoA store (CSV/in-memory construction path only).
   /// Heap-held so the engine stays movable (util::Mutex is neither movable

@@ -9,7 +9,6 @@
 #include "data/snapshot.h"
 #include "similarity/registry.h"
 #include "util/failpoint.h"
-#include "util/logging.h"
 #include "util/status.h"
 
 namespace simsub::service {
@@ -128,22 +127,11 @@ QueryService::ResolveSpec(const QuerySpec& spec) {
   auto measure = similarity::MakeMeasure(spec.measure, spec.measure_options);
   if (!measure.ok()) return measure.status();
   resolved->measure = std::move(*measure);
-  resolved->algorithm = spec.algorithm;
-  resolved->search_options = spec.algorithm_options;
-  if (spec.algorithm == "topk-sub") {
-    resolved->topk_mode = true;
-  } else {
+  if (spec.algorithm != "topk-sub") {
     auto search = algo::MakeSearch(spec.algorithm, resolved->measure.get(),
                                    spec.algorithm_options);
     if (!search.ok()) return search.status();
-    if (spec.algorithm == "random-s") {
-      // Random-S draws from an internal RNG stream, so a shared instance is
-      // neither thread-safe nor deterministic; every execution rebuilds one
-      // from the spec's seed instead (identical draws per request).
-      resolved->per_execution_search = true;
-    } else {
-      resolved->search = std::move(*search);
-    }
+    resolved->search = std::move(*search);
   }
 
   if (!cacheable) return std::shared_ptr<const Resolved>(std::move(resolved));
@@ -182,35 +170,19 @@ engine::QueryReport QueryService::ExecuteSpec(
     plan = planner_.Plan(spec.points);
   }
 
-  engine::QueryReport report;
-  if (resolved.topk_mode) {
-    // Note: spec.prune does not apply here — the exhaustive subtrajectory
-    // enumeration has no lower-bound cascade (see QuerySpec::prune).
-    report = engine_.QueryTopKSubtrajectories(spec.points, *resolved.measure,
-                                              spec.k, plan.filter,
-                                              spec.min_size, spec.cancel,
-                                              deadline);
-  } else {
-    const algo::SubtrajectorySearch* search = resolved.search.get();
-    std::unique_ptr<algo::SubtrajectorySearch> fresh;
-    if (resolved.per_execution_search) {
-      auto made = algo::MakeSearch(resolved.algorithm, resolved.measure.get(),
-                                   resolved.search_options);
-      SIMSUB_CHECK(made.ok());  // parameters were validated at resolve time
-      fresh = std::move(*made);
-      search = fresh.get();
-    }
-    SIMSUB_CHECK(scratch != nullptr);
-    engine::QueryOptions eo;
-    eo.k = spec.k;
-    eo.filter = plan.filter;
-    eo.threads = 1;  // inter-query parallelism only; the scan stays inline
-    eo.scratch = scratch;
-    eo.prune = spec.prune;
-    eo.cancel = spec.cancel;
-    eo.deadline = deadline;
-    report = engine_.Query(spec.points, *search, eo);
-  }
+  engine::QueryOptions eo;
+  eo.k = spec.k;
+  eo.filter = plan.filter;
+  eo.threads = 1;  // inter-query parallelism only; the scan stays inline
+  eo.scratch = scratch;
+  eo.prune = spec.prune;
+  eo.cancel = spec.cancel;
+  eo.deadline = deadline;
+  engine::QueryReport report =
+      resolved.search != nullptr
+          ? engine_.Query(spec.points, *resolved.search, eo)
+          : engine_.QueryTopKSubtrajectories(spec.points, *resolved.measure,
+                                             spec.min_size, eo);
   report.planned_selectivity = plan.estimated_selectivity;
   report.plan_reason = plan.reason;
   return report;
@@ -292,21 +264,15 @@ engine::QueryReport QueryService::ServeSpec(
   if (!resolution.ok()) return refuse(resolution.status(), stats_.rejected);
   const Resolved& resolved = **resolution;
 
-  double queue_seconds = report.queue_seconds;
-  if (resolved.topk_mode) {
-    // The topk-sub engine path takes no evaluator cache: skip the lease
-    // (and its lock round-trip / possible allocation on foreign threads).
-    report = ExecuteSpec(spec, resolved, nullptr, deadline);
-  } else {
 #if SIMSUB_FAILPOINTS_COMPILED
-    // Simulates scratch-lease acquisition failure (e.g. allocation).
-    if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
-      return refuse(std::move(fp), stats_.failed);
-    }
-#endif
-    ScratchLease lease(*this);
-    report = ExecuteSpec(spec, resolved, &lease.get(), deadline);
+  // Simulates scratch-lease acquisition failure (e.g. allocation).
+  if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
+    return refuse(std::move(fp), stats_.failed);
   }
+#endif
+  ScratchLease lease(*this);
+  const double queue_seconds = report.queue_seconds;
+  report = ExecuteSpec(spec, resolved, &lease.get(), deadline);
   report.queue_seconds = queue_seconds;
 
   switch (report.status.code()) {

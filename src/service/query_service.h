@@ -17,8 +17,8 @@
 // bit-identical distances), regardless of worker count or how many
 // dispatcher threads submitted — the engine's top-k order is total, the
 // planner is a pure function of the query and database statistics, and
-// resolved searches are immutable ("random-s" gets a fresh
-// deterministically-seeded instance per execution instead of a shared one).
+// resolved searches are immutable (every algorithm, "random-s" included, is
+// a pure function of its data and query).
 //
 // Threading contract: every public method is safe to call from multiple
 // application threads concurrently — Submit/SubmitBatch/RunOne/stats may
@@ -159,15 +159,11 @@ class QueryService {
  private:
   /// A resolved (measure, search) pair, immutable once constructed and
   /// shared by every request with the same measure/algorithm configuration.
-  /// `search` is null in topk_mode (the "topk-sub" engine path) and for
-  /// the non-shareable "random-s" (fresh instance per execution).
+  /// `search` is null for "topk-sub", which the engine drives by the
+  /// measure alone (SimSubEngine::QueryTopKSubtrajectories).
   struct Resolved {
     std::unique_ptr<similarity::SimilarityMeasure> measure;
     std::unique_ptr<algo::SubtrajectorySearch> search;
-    bool topk_mode = false;
-    bool per_execution_search = false;  // "random-s"
-    algo::SearchOptions search_options;  // for per_execution_search rebuilds
-    std::string algorithm;
   };
 
   /// Relaxed atomic twins of ServiceStats (see stats()).
@@ -199,8 +195,8 @@ class QueryService {
       const QuerySpec& spec,
       std::chrono::steady_clock::time_point submitted);
 
-  /// `scratch` may be null only in topk_mode (whose engine path takes no
-  /// evaluator cache); the other paths require it. `deadline` is the
+  /// Plans the spec and runs it through the engine with one
+  /// engine::QueryOptions for either entry point. `deadline` is the
   /// absolute execution deadline derived from spec.deadline_ms (anchored at
   /// submit time; time_point::max() when the spec sets none) and is
   /// enforced inside the engine scan, not just in the queue.

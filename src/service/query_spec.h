@@ -41,7 +41,9 @@ struct QuerySpec {
   /// the service-level "topk-sub": the subtrajectory-level top-k query
   /// (engine::SimSubEngine::QueryTopKSubtrajectories) driven by the measure
   /// alone, where one data trajectory may contribute several results and
-  /// `min_size` filters degenerate near-single-point answers.
+  /// `min_size` filters degenerate near-single-point answers. Both kinds
+  /// run through the engine's one scan, so k, filter, prune, the deadline
+  /// and the cancel flag mean the same for either.
   std::string algorithm = "exacts";
   algo::SearchOptions algorithm_options;
 
@@ -53,9 +55,7 @@ struct QuerySpec {
   /// Explicit pruning filter; nullopt lets the planner decide per query.
   std::optional<engine::PruningFilter> filter;
   /// Per-request lower-bound-cascade toggle (results are bit-identical
-  /// either way; off is only useful for measurement). Does not apply to
-  /// "topk-sub": the exhaustive subtrajectory enumeration has no
-  /// lower-bound cascade to toggle.
+  /// either way; off is only useful for measurement).
   bool prune = true;
 
   /// Relative deadline in milliseconds, measured from Submit(). Enforced

@@ -76,6 +76,30 @@ TEST(RandomSTest, LargerSampleNeverHurtsOnAverage) {
   EXPECT_LE(mean_large, mean_small + 1e-9);
 }
 
+TEST(RandomSTest, RepeatedSearchesAgree) {
+  // A search is a pure function of (data, query): every call replays the
+  // seed's stream instead of advancing a shared one.
+  RandomSSearch rs(&kDtw, /*sample_size=*/25, /*seed=*/1);
+  const std::vector<Point> datas[] = {
+      Line({3, 1, 4, 1, 5, 9, 2, 6}),
+      Line({9, 3, 1, 2, 8, 0, 7, 5, 6, 4}),
+      Line({2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5})};
+  const std::vector<Point> queries[] = {Line({1, 5}), Line({1, 2, 8}),
+                                        Line({8})};
+  for (const auto& data : datas) {
+    for (const auto& query : queries) {
+      const SearchResult a = rs.Search(data, query);
+      const SearchResult b = rs.Search(data, query);
+      EXPECT_EQ(a.best.start, b.best.start);
+      EXPECT_EQ(a.best.end, b.best.end);
+      EXPECT_EQ(a.distance, b.distance);
+      EXPECT_EQ(a.stats.candidates, b.stats.candidates);
+      EXPECT_EQ(a.stats.start_calls, b.stats.start_calls);
+      EXPECT_EQ(a.stats.extend_calls, b.stats.extend_calls);
+    }
+  }
+}
+
 TEST(RandomSTest, Name) {
   RandomSSearch rs(&kDtw, 10, 7);
   EXPECT_EQ(rs.name(), "Random-S");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "algo/exacts.h"
+#include "algo/random_s.h"
 #include "algo/sizes.h"
 #include "data/generator.h"
 #include "similarity/dtw.h"
@@ -195,8 +196,8 @@ TEST(EngineTest, SubtrajectoryTopKAllowsMultiplePerTrajectory) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
   const auto& query = d.trajectories[3];
-  auto report =
-      engine.QueryTopKSubtrajectories(query.View(), kDtw, /*k=*/10);
+  auto report = engine.QueryTopKSubtrajectories(query.View(), kDtw,
+                                                /*min_size=*/1, {.k = 10});
   ASSERT_EQ(report.results.size(), 10u);
   for (size_t i = 1; i < report.results.size(); ++i) {
     EXPECT_LE(report.results[i - 1].distance, report.results[i].distance);
@@ -219,7 +220,8 @@ TEST(EngineTest, SubtrajectoryTopKTop1MatchesExactSearch) {
   algo::ExactS exact(&kDtw);
   const auto& query = d.trajectories[8];
   auto per_traj = RunQuery(engine, query.View(), exact, 1);
-  auto global = engine.QueryTopKSubtrajectories(query.View(), kDtw, 1);
+  auto global =
+      engine.QueryTopKSubtrajectories(query.View(), kDtw, 1, {.k = 1});
   ASSERT_EQ(global.results.size(), 1u);
   EXPECT_EQ(global.results[0].trajectory_id, per_traj.results[0].trajectory_id);
   EXPECT_DOUBLE_EQ(global.results[0].distance, per_traj.results[0].distance);
@@ -234,7 +236,7 @@ TEST(EngineTest, SubtrajectoryTopKHonorsCancelFlag) {
   const auto& query = d.trajectories[4];
   std::atomic<bool> cancel{true};
   auto cancelled = engine.QueryTopKSubtrajectories(
-      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1, &cancel);
+      query.View(), kDtw, /*min_size=*/1, {.k = 5, .cancel = &cancel});
   EXPECT_EQ(cancelled.status.code(), util::StatusCode::kCancelled);
   EXPECT_EQ(cancelled.trajectories_scanned, 0);
   EXPECT_TRUE(cancelled.results.empty());
@@ -242,8 +244,9 @@ TEST(EngineTest, SubtrajectoryTopKHonorsCancelFlag) {
   // An untripped flag changes nothing.
   cancel.store(false);
   auto with_flag = engine.QueryTopKSubtrajectories(
-      query.View(), kDtw, 5, PruningFilter::kNone, /*min_size=*/1, &cancel);
-  auto without = engine.QueryTopKSubtrajectories(query.View(), kDtw, 5);
+      query.View(), kDtw, /*min_size=*/1, {.k = 5, .cancel = &cancel});
+  auto without =
+      engine.QueryTopKSubtrajectories(query.View(), kDtw, 1, {.k = 5});
   EXPECT_TRUE(with_flag.status.ok());
   ASSERT_EQ(with_flag.results.size(), without.results.size());
   for (size_t i = 0; i < without.results.size(); ++i) {
@@ -257,9 +260,8 @@ TEST(EngineTest, SubtrajectoryTopKRespectsMinSize) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
   const auto& query = d.trajectories[1];
-  auto report = engine.QueryTopKSubtrajectories(query.View(), kDtw, 5,
-                                                PruningFilter::kNone,
-                                                /*min_size=*/10);
+  auto report = engine.QueryTopKSubtrajectories(query.View(), kDtw,
+                                                /*min_size=*/10, {.k = 5});
   for (const auto& e : report.results) {
     EXPECT_GE(e.range.size(), 10);
   }
@@ -325,6 +327,87 @@ TEST(EngineTest, BestFirstScanSearchesOnlyTheExactMatch) {
       }
     }
   }
+}
+
+void ExpectSameResults(const QueryReport& want, const QueryReport& got,
+                       const std::string& label) {
+  ASSERT_EQ(want.results.size(), got.results.size()) << label;
+  for (size_t i = 0; i < want.results.size(); ++i) {
+    EXPECT_EQ(want.results[i].trajectory_id, got.results[i].trajectory_id)
+        << label << " #" << i;
+    EXPECT_EQ(want.results[i].range.start, got.results[i].range.start)
+        << label << " #" << i;
+    EXPECT_EQ(want.results[i].range.end, got.results[i].range.end)
+        << label << " #" << i;
+    EXPECT_EQ(want.results[i].distance, got.results[i].distance)
+        << label << " #" << i;
+  }
+}
+
+TEST(EngineTest, SubtrajectoryTopKIsIdenticalAcrossThreadsAndPrune) {
+  // The subtrajectory-level top-k runs through Query's scan: partitions,
+  // the best-first stop and its counters apply, and none of them may
+  // change an answer.
+  data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 60, 4242);
+  SimSubEngine engine(d.trajectories);
+  engine.BuildIndex();
+  const geo::Trajectory& source = d.trajectories[7];
+  ASSERT_GT(source.size(), 25);
+  std::vector<geo::Point> query(source.points().begin() + 3,
+                                source.points().begin() + 26);
+  similarity::FrechetMeasure frechet;
+  for (const similarity::SimilarityMeasure* m :
+       {static_cast<const similarity::SimilarityMeasure*>(&kDtw),
+        static_cast<const similarity::SimilarityMeasure*>(&frechet)}) {
+    for (PruningFilter filter : {PruningFilter::kNone, PruningFilter::kRTree}) {
+      QueryOptions options;
+      options.k = 5;
+      options.filter = filter;
+      options.threads = 1;
+      options.prune = false;
+      const QueryReport want =
+          engine.QueryTopKSubtrajectories(query, *m, /*min_size=*/2, options);
+      ASSERT_EQ(want.results.size(), 5u);
+      EXPECT_EQ(want.lb_skipped, 0);
+      for (int threads : {1, 3}) {
+        for (bool prune : {false, true}) {
+          const std::string label = m->name() + "/" +
+                                    PruningFilterName(filter) + " threads=" +
+                                    std::to_string(threads) +
+                                    " prune=" + std::to_string(prune);
+          options.threads = threads;
+          options.prune = prune;
+          const QueryReport got =
+              engine.QueryTopKSubtrajectories(query, *m, 2, options);
+          EXPECT_TRUE(got.status.ok()) << label;
+          EXPECT_EQ(got.trajectories_scanned, want.trajectories_scanned)
+              << label;
+          EXPECT_EQ(got.trajectories_pruned, want.trajectories_pruned)
+              << label;
+          ExpectSameResults(want, got, label);
+          if (threads == 1 && prune) {
+            EXPECT_GT(got.lb_skipped, 0) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineTest, RandomSIsIdenticalAcrossThreads) {
+  // Random-S replays its seed on every call, so sharing one instance
+  // across scan partitions changes neither the answer nor the draws.
+  data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 200, 77);
+  SimSubEngine engine(d.trajectories);
+  algo::RandomSSearch random_s(&kDtw, /*sample_size=*/50, /*seed=*/9);
+  const auto& query = d.trajectories[5];
+  QueryReport seq = RunQuery(engine, query.View(), random_s, /*k=*/10,
+                             PruningFilter::kNone, /*threads=*/1);
+  QueryReport par = RunQuery(engine, query.View(), random_s, /*k=*/10,
+                             PruningFilter::kNone, /*threads=*/4);
+  ASSERT_EQ(seq.results.size(), 10u);
+  EXPECT_EQ(seq.trajectories_scanned, par.trajectories_scanned);
+  ExpectSameResults(seq, par, "random-s");
 }
 
 }  // namespace

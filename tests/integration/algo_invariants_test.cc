@@ -144,7 +144,8 @@ TEST(AlgoInvariantsTest, ExactSAgreesWithTopKSubtrajectoriesTop1) {
       engine::QueryReport trajectory_level =
           engine.Query(query.View(), exact, top1);
       engine::QueryReport subtrajectory_level =
-          engine.QueryTopKSubtrajectories(query.View(), *measure->get(), 1);
+          engine.QueryTopKSubtrajectories(query.View(), *measure->get(), 1,
+                                          top1);
 
       ASSERT_EQ(trajectory_level.results.size(), 1u) << name;
       ASSERT_EQ(subtrajectory_level.results.size(), 1u) << name;

@@ -457,20 +457,17 @@ int RunQuery(int argc, char** argv) {
   engine::SimSubEngine& engine = *engine_storage;
   if (use_index) engine.BuildIndex();
   util::Stopwatch timer;
-  engine::PruningFilter filter = use_index ? engine::PruningFilter::kRTree
-                                           : engine::PruningFilter::kNone;
-  engine::QueryReport report;
-  if (algo_name == "topk-sub") {
-    report = engine.QueryTopKSubtrajectories(query_copy.View(),
-                                             *measure->get(), topk, filter);
-  } else {
-    engine::QueryOptions query_options;
-    query_options.k = topk;
-    query_options.filter = filter;
-    query_options.threads = threads;
-    query_options.prune = prune;
-    report = engine.Query(query_copy.View(), *search, query_options);
-  }
+  engine::QueryOptions query_options;
+  query_options.k = topk;
+  query_options.filter = use_index ? engine::PruningFilter::kRTree
+                                   : engine::PruningFilter::kNone;
+  query_options.threads = threads;
+  query_options.prune = prune;
+  engine::QueryReport report =
+      search != nullptr
+          ? engine.Query(query_copy.View(), *search, query_options)
+          : engine.QueryTopKSubtrajectories(query_copy.View(), *measure->get(),
+                                            /*min_size=*/1, query_options);
   std::printf(
       "%s/%s over %lld trajectories: %.1f ms (%lld scanned, %lld pruned, "
       "%lld lb-skipped, %lld dp-abandoned)\n",
