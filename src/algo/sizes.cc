@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "algo/exacts.h"
 #include "util/logging.h"
 
 namespace simsub::algo {
@@ -14,10 +15,11 @@ SizeS::SizeS(const similarity::SimilarityMeasure* measure, int xi)
   SIMSUB_CHECK_GE(xi, 0);
 }
 
-// The size-window scan. With a bailout, a start point's window is abandoned
-// once the evaluator's lower bound exceeds min(bailout, best-so-far): every
-// remaining candidate of the window (admissible or not) extends the current
-// state, so all are provably worse (see the Search(.., bailout) contract).
+// The size-window scan (ScanWindows with the best-so-far as its cut-off).
+// With a bailout, a start point's window is abandoned once the evaluator's
+// lower bound exceeds min(bailout, best-so-far): every remaining candidate
+// of the window (admissible or not) extends the current state, so all are
+// provably worse (see the Search(.., bailout) contract).
 SearchResult SizeS::DoSearch(std::span<const geo::Point> data,
                              std::span<const geo::Point> query,
                              similarity::EvaluatorCache* scratch,
@@ -38,36 +40,14 @@ SearchResult SizeS::DoSearch(std::span<const geo::Point> data,
   // the top of that range.
   const int max_size =
       static_cast<int>(std::min<int64_t>(n, static_cast<int64_t>(m) + xi_));
-  for (int i = 0; i < n; ++i) {
-    if (i + min_size > n) break;  // No admissible subtrajectory starts here.
-    double d = eval.Start(data[static_cast<size_t>(i)]);
-    ++result.stats.start_calls;
-    int size = 1;
-    if (size >= min_size) {
-      ++result.stats.candidates;
-      if (d < result.distance) {
-        result.distance = d;
-        result.best = geo::SubRange(i, i);
-      }
-    }
-    for (int j = i + 1; j < n && size < max_size; ++j) {
-      if (bailout &&
-          eval.ExtensionLowerBound() > std::min(*bailout, result.distance)) {
-        ++result.stats.abandoned;
-        break;
-      }
-      d = eval.Extend(data[static_cast<size_t>(j)]);
-      ++result.stats.extend_calls;
-      ++size;
-      if (size >= min_size) {
-        ++result.stats.candidates;
-        if (d < result.distance) {
-          result.distance = d;
-          result.best = geo::SubRange(i, j);
-        }
-      }
-    }
-  }
+  ScanWindows(eval, data, min_size, max_size, bailout, result.stats,
+              [&](geo::SubRange range, double d) {
+                if (d < result.distance) {
+                  result.distance = d;
+                  result.best = range;
+                }
+                return result.distance;
+              });
   return result;
 }
 

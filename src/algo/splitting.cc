@@ -105,40 +105,6 @@ SearchResult PssSearch::DoSearch(std::span<const geo::Point> data,
   return result;
 }
 
-PosSearch::PosSearch(const similarity::SimilarityMeasure* measure)
-    : measure_(measure) {
-  SIMSUB_CHECK(measure != nullptr);
-}
-
-SearchResult PosSearch::DoSearch(std::span<const geo::Point> data,
-                                 std::span<const geo::Point> query,
-                                 similarity::EvaluatorCache*,
-                                 std::optional<double>) const {
-  SIMSUB_CHECK(!data.empty());
-  SIMSUB_CHECK(!query.empty());
-  SearchResult result;
-  const int n = static_cast<int>(data.size());
-  auto eval = measure_->NewEvaluator(query);
-  int h = 0;
-  for (int i = 0; i < n; ++i) {
-    double pre = (i == h) ? eval->Start(data[static_cast<size_t>(i)])
-                          : eval->Extend(data[static_cast<size_t>(i)]);
-    if (i == h) {
-      ++result.stats.start_calls;
-    } else {
-      ++result.stats.extend_calls;
-    }
-    ++result.stats.candidates;
-    if (pre < result.distance) {
-      result.distance = pre;
-      result.best = geo::SubRange(h, i);
-      h = i + 1;
-      ++result.stats.splits;
-    }
-  }
-  return result;
-}
-
 PosDSearch::PosDSearch(const similarity::SimilarityMeasure* measure, int delay)
     : measure_(measure), delay_(delay) {
   SIMSUB_CHECK(measure != nullptr);

@@ -1,7 +1,8 @@
 // The three heuristic splitting-based algorithms of paper Section 4.3:
 //   PSS   - Prefix-Suffix Search (Algorithm 2): greedy split whenever the
 //           current prefix or suffix beats the best-known similarity.
-//   POS   - Prefix-Only Search: PSS without the suffix component.
+//   POS   - Prefix-Only Search: PSS without the suffix component. It is
+//           POS-D with D = 0 (no lookahead), and runs POS-D's scan.
 //   POS-D - Prefix-Only Search with Delay: defers the split for up to D
 //           points and splits where the prefix was most similar.
 // All run in O(n1 * Phi_ini + n * Phi_inc) with n1 = number of splits.
@@ -35,28 +36,6 @@ class PssSearch : public SubtrajectorySearch {
   const similarity::SimilarityMeasure* measure_;
 };
 
-/// Prefix-Only Search.
-class PosSearch : public SubtrajectorySearch {
- public:
-  explicit PosSearch(const similarity::SimilarityMeasure* measure);
-
-  std::string name() const override { return "POS"; }
-
-  const similarity::SimilarityMeasure* measure() const override {
-    return measure_;
-  }
-
-  // (see SubtrajectorySearch::Search)
- protected:
-  SearchResult DoSearch(std::span<const geo::Point> data,
-                        std::span<const geo::Point> query,
-                        similarity::EvaluatorCache*,
-                        std::optional<double>) const override;
-
- private:
-  const similarity::SimilarityMeasure* measure_;
-};
-
 /// Prefix-Only Search with Delay.
 class PosDSearch : public SubtrajectorySearch {
  public:
@@ -81,6 +60,15 @@ class PosDSearch : public SubtrajectorySearch {
  private:
   const similarity::SimilarityMeasure* measure_;
   int delay_;
+};
+
+/// Prefix-Only Search: POS-D's scan with no lookahead.
+class PosSearch : public PosDSearch {
+ public:
+  explicit PosSearch(const similarity::SimilarityMeasure* measure)
+      : PosDSearch(measure, /*delay=*/0) {}
+
+  std::string name() const override { return "POS"; }
 };
 
 }  // namespace simsub::algo

@@ -8,44 +8,44 @@
 
 namespace simsub::data {
 
-std::vector<WorkloadPair> SampleWorkload(const Dataset& dataset, int count,
-                                         uint64_t seed) {
-  SIMSUB_CHECK_GE(dataset.trajectories.size(), 2u);
+namespace {
+
+// The pair draws of both SampleWorkload overloads; `query_at(ordinal)`
+// materializes the picked query, so the overloads draw identical workloads.
+template <typename QueryAt>
+std::vector<WorkloadPair> DrawPairs(size_t corpus_size, int count,
+                                    uint64_t seed, const QueryAt& query_at) {
+  SIMSUB_CHECK_GE(corpus_size, 2u);
   util::Rng rng(seed);
   std::vector<WorkloadPair> out;
   out.reserve(static_cast<size_t>(count));
-  const int64_t n = static_cast<int64_t>(dataset.trajectories.size());
+  const int64_t n = static_cast<int64_t>(corpus_size);
   for (int i = 0; i < count; ++i) {
     int64_t a = rng.UniformInt(0, n - 1);
     int64_t b = rng.UniformInt(0, n - 2);
     if (b >= a) ++b;  // distinct pair, uniform over ordered pairs
     WorkloadPair pair;
     pair.data_index = static_cast<int>(a);
-    pair.query = dataset.trajectories[static_cast<size_t>(b)];
+    pair.query = query_at(static_cast<size_t>(b));
     out.push_back(std::move(pair));
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<WorkloadPair> SampleWorkload(const Dataset& dataset, int count,
+                                         uint64_t seed) {
+  return DrawPairs(dataset.trajectories.size(), count, seed,
+                   [&](size_t b) { return dataset.trajectories[b]; });
+}
+
 std::vector<WorkloadPair> SampleWorkload(const CorpusSnapshot& snapshot,
                                          int count, uint64_t seed) {
-  SIMSUB_CHECK_GE(snapshot.trajectory_count(), 2u);
-  util::Rng rng(seed);
-  std::vector<WorkloadPair> out;
-  out.reserve(static_cast<size_t>(count));
-  const int64_t n = static_cast<int64_t>(snapshot.trajectory_count());
-  // Identical draw sequence to the Dataset overload; only the picked query
-  // ordinals are interleaved out of the columns.
-  for (int i = 0; i < count; ++i) {
-    int64_t a = rng.UniformInt(0, n - 1);
-    int64_t b = rng.UniformInt(0, n - 2);
-    if (b >= a) ++b;  // distinct pair, uniform over ordered pairs
-    WorkloadPair pair;
-    pair.data_index = static_cast<int>(a);
-    pair.query = snapshot.MaterializeTrajectory(static_cast<size_t>(b));
-    out.push_back(std::move(pair));
-  }
-  return out;
+  // Only the picked query ordinals are interleaved out of the columns.
+  return DrawPairs(snapshot.trajectory_count(), count, seed, [&](size_t b) {
+    return snapshot.MaterializeTrajectory(b);
+  });
 }
 
 std::vector<LengthGroup> PaperLengthGroups() {

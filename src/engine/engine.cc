@@ -4,10 +4,13 @@
 #include <atomic>
 #include <future>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "algo/exacts.h"
 #include "algo/lower_bounds.h"
 #include "data/snapshot.h"
 #include "util/logging.h"
@@ -375,17 +378,28 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
     std::span<const geo::Point> query,
     const similarity::SimilarityMeasure& measure, int min_size,
     const QueryOptions& options) const {
+  SIMSUB_CHECK_GE(min_size, 1);
   return Scan(query, &measure, options,
-              [&](const geo::Trajectory& traj, double /*threshold*/,
-                  similarity::EvaluatorCache* /*scratch*/, TopKHeap& heap) {
-                // Per-trajectory cap of k suffices: at most k global winners
-                // can come from one trajectory.
-                for (const algo::RankedCandidate& cand : algo::TopKExact(
-                         measure, traj.View(), query, options.k, min_size)) {
-                  OfferEntry(heap, options.k,
-                             TopKEntry{traj.id(), cand.range, cand.distance});
-                }
-                return int64_t{0};
+              [&](const geo::Trajectory& traj, double threshold,
+                  similarity::EvaluatorCache* scratch, TopKHeap& heap) {
+                std::unique_ptr<similarity::PrefixEvaluator> owned;
+                similarity::PrefixEvaluator& eval =
+                    *similarity::AcquireEvaluator(measure, query, scratch,
+                                                  &owned);
+                // Every range goes straight into the partition's heap, whose
+                // kth distance is the cut-off once it holds k entries.
+                algo::SearchStats stats;
+                algo::ScanWindows(
+                    eval, traj.View(), min_size, traj.size(),
+                    options.prune ? std::optional(threshold) : std::nullopt,
+                    stats, [&](geo::SubRange range, double d) {
+                      OfferEntry(heap, options.k,
+                                 TopKEntry{traj.id(), range, d});
+                      return static_cast<int>(heap.size()) == options.k
+                                 ? heap.top().distance
+                                 : std::numeric_limits<double>::infinity();
+                    });
+                return stats.abandoned;
               });
 }
 

@@ -15,9 +15,9 @@
 // algo/lower_bounds.h): candidates are visited in ascending nearest-endpoint
 // lower bound over the cached SoA copies, and each scan partition stops at
 // its first bound above its best-kth distance, which is shared atomically
-// across workers and also early-abandons the DP inside Query's
-// per-trajectory search. Pruned results are bit-identical to unpruned ones
-// at any thread count; QueryOptions::prune turns pruning off for
+// across workers and also early-abandons the DP inside the per-trajectory
+// step of both entry points. Pruned results are bit-identical to unpruned
+// ones at any thread count; QueryOptions::prune turns pruning off for
 // measurement.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
 #define SIMSUB_ENGINE_ENGINE_H_
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "algo/search.h"
-#include "algo/topk.h"
 #include "geo/mbr.h"
 #include "geo/points_store.h"
 #include "geo/soa.h"
@@ -119,15 +118,15 @@ struct QueryOptions {
   /// (parallel partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
   /// Lower-bound pruning: maintain a best-kth-distance threshold (shared
-  /// atomically across scan partitions) and, in Query, pass it into the
-  /// search as a DP bailout. With a sum- or max-aggregating measure the
-  /// scan of both entry points also runs best-first: candidates in
-  /// ascending nearest-endpoint lower bound, each partition stopping at its
-  /// first bound above the threshold. Results are bit-identical with
-  /// pruning on or off — only candidates that provably cannot enter the
-  /// top-k (strictly worse than the kth best, so no tie-break can admit
-  /// them) are skipped. Off, the scan visits candidates in ordinal order
-  /// and runs every search in full.
+  /// atomically across scan partitions) and pass it into each
+  /// per-trajectory step as a DP bailout. With a sum- or max-aggregating
+  /// measure the scan of both entry points also runs best-first:
+  /// candidates in ascending nearest-endpoint lower bound, each partition
+  /// stopping at its first bound above the threshold. Results are
+  /// bit-identical with pruning on or off — only candidates that provably
+  /// cannot enter the top-k (strictly worse than the kth best, so no
+  /// tie-break can admit them) are skipped. Off, the scan visits
+  /// candidates in ordinal order and runs every search in full.
   bool prune = true;
   /// Cooperative cancellation flag (caller-owned, may be flipped from any
   /// thread). Checked between per-trajectory searches in every scan
@@ -221,16 +220,17 @@ class SimSubEngine {
       const BatchQueryOptions& options) const;
 
   /// Global *subtrajectory-level* top-k (paper Section 3.1's "top-k similar
-  /// subtrajectories" generalization): exhaustively enumerates every
-  /// subtrajectory of every candidate trajectory with the incremental
-  /// evaluator (algo::TopKExact) and keeps the options.k best overall — a
-  /// data trajectory may contribute several results. `min_size` filters
-  /// near-duplicate single-point answers. Shares Query's scan, so every
-  /// QueryOptions field means the same here: filter, partitions, the
-  /// best-first stop (the nearest-endpoint bound holds for every
-  /// subtrajectory of a candidate), cancellation, deadline and counters.
-  /// The scratch cache goes unused, and no DP is abandoned. Results are
-  /// identical for any `threads` and `prune` value.
+  /// subtrajectories" generalization): enumerates every subtrajectory of at
+  /// least `min_size` (>= 1) points of every candidate trajectory with
+  /// ExactS's incremental scan (algo::ScanWindows) and keeps the options.k
+  /// best overall — a data trajectory may contribute several results.
+  /// `min_size` filters near-duplicate single-point answers. Shares Query's
+  /// scan, so every QueryOptions field means the same here: filter,
+  /// partitions, scratch, the best-first stop (the nearest-endpoint bound
+  /// holds for every subtrajectory of a candidate), the DP bailout (a start
+  /// point's extensions are abandoned once they provably exceed the kth
+  /// best), cancellation, deadline and counters. Results are identical for
+  /// any `threads` and `prune` value.
   QueryReport QueryTopKSubtrajectories(
       std::span<const geo::Point> query,
       const similarity::SimilarityMeasure& measure, int min_size,

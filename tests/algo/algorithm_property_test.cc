@@ -94,9 +94,6 @@ TEST_P(AlgorithmPropertyTest, ReportedDistanceMatchesReScoring) {
 }
 
 TEST_P(AlgorithmPropertyTest, DeterministicAcrossRepeatedCalls) {
-  if (GetParam().algorithm == "Random-S") {
-    GTEST_SKIP() << "Random-S draws a fresh sample per call by design";
-  }
   auto measure = similarity::MakeMeasure(GetParam().measure);
   ASSERT_TRUE(measure.ok());
   auto algorithm = MakeAlgorithm(GetParam().algorithm, measure->get());
@@ -121,20 +118,18 @@ void ExpectSameStats(const SearchStats& got, const SearchStats& want) {
 TEST_P(AlgorithmPropertyTest, SearchOverloadsAgreeWithThePlainSearch) {
   auto measure = similarity::MakeMeasure(GetParam().measure);
   ASSERT_TRUE(measure.ok());
-  // A fresh instance per call, so Random-S draws the same samples each time.
-  auto fresh = [&] {
-    return MakeAlgorithm(GetParam().algorithm, measure->get());
-  };
+  auto algorithm = MakeAlgorithm(GetParam().algorithm, measure->get());
+  ASSERT_NE(algorithm, nullptr);
   similarity::EvaluatorCache scratch;  // reused across every call below
   util::Rng rng(4242);
   for (int trial = 0; trial < 6; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     auto data = RandomWalk(rng, 10 + 2 * trial);
     auto query = RandomWalk(rng, 3 + trial % 3);
-    const SearchResult plain = fresh()->Search(data, query);
+    const SearchResult plain = algorithm->Search(data, query);
     EXPECT_EQ(plain.stats.abandoned, 0);
 
-    const SearchResult cached = fresh()->Search(data, query, &scratch);
+    const SearchResult cached = algorithm->Search(data, query, &scratch);
     EXPECT_EQ(cached.best, plain.best);
     EXPECT_EQ(cached.distance, plain.distance);
     EXPECT_EQ(cached.distance_exact, plain.distance_exact);
@@ -143,7 +138,7 @@ TEST_P(AlgorithmPropertyTest, SearchOverloadsAgreeWithThePlainSearch) {
     for (double bailout :
          {std::numeric_limits<double>::infinity(), plain.distance}) {
       const SearchResult bounded =
-          fresh()->Search(data, query, &scratch, bailout);
+          algorithm->Search(data, query, &scratch, bailout);
       EXPECT_EQ(bounded.best, plain.best) << "bailout " << bailout;
       EXPECT_EQ(bounded.distance, plain.distance) << "bailout " << bailout;
     }

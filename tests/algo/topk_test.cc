@@ -1,12 +1,16 @@
-#include "algo/topk.h"
-
+// The subtrajectory-level top-k within one data trajectory (paper Section
+// 3.1: "simply maintaining the k most similar subtrajectories"), run
+// through engine::SimSubEngine::QueryTopKSubtrajectories on a one-trajectory
+// engine.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "algo/exacts.h"
+#include "engine/engine.h"
 #include "similarity/dtw.h"
 #include "util/random.h"
 
@@ -23,35 +27,16 @@ std::vector<Point> Line(std::initializer_list<double> xs) {
 
 similarity::DtwMeasure kDtw;
 
-TEST(TopKCollectorTest, KeepsSmallestK) {
-  TopKCollector collector(3);
-  for (int i = 10; i >= 1; --i) {
-    collector.Offer(geo::SubRange(i, i), static_cast<double>(i));
-  }
-  auto sorted = collector.Sorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_DOUBLE_EQ(sorted[0].distance, 1.0);
-  EXPECT_DOUBLE_EQ(sorted[1].distance, 2.0);
-  EXPECT_DOUBLE_EQ(sorted[2].distance, 3.0);
-  EXPECT_DOUBLE_EQ(collector.worst(), 3.0);
-}
-
-TEST(TopKCollectorTest, WorstIsInfiniteUntilFull) {
-  TopKCollector collector(2);
-  EXPECT_TRUE(std::isinf(collector.worst()));
-  collector.Offer(geo::SubRange(0, 0), 5.0);
-  EXPECT_TRUE(std::isinf(collector.worst()));
-  collector.Offer(geo::SubRange(1, 1), 7.0);
-  EXPECT_DOUBLE_EQ(collector.worst(), 7.0);
-}
-
-TEST(TopKCollectorTest, FewerCandidatesThanK) {
-  TopKCollector collector(10);
-  collector.Offer(geo::SubRange(0, 1), 2.0);
-  collector.Offer(geo::SubRange(1, 2), 1.0);
-  auto sorted = collector.Sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_DOUBLE_EQ(sorted[0].distance, 1.0);
+// The k best subtrajectories of `data` (min_size points or more), ascending.
+std::vector<engine::TopKEntry> TopKExact(std::span<const Point> data,
+                                         std::span<const Point> query, int k,
+                                         int min_size = 1) {
+  engine::SimSubEngine engine(
+      {geo::Trajectory(std::vector<Point>(data.begin(), data.end()))});
+  engine::QueryOptions options;
+  options.k = k;
+  return engine.QueryTopKSubtrajectories(query, kDtw, min_size, options)
+      .results;
 }
 
 TEST(TopKExactTest, Top1MatchesExactS) {
@@ -64,7 +49,7 @@ TEST(TopKExactTest, Top1MatchesExactS) {
     for (int i = 0; i < 4; ++i) {
       query.emplace_back(rng.Uniform(-10, 10), rng.Uniform(-10, 10));
     }
-    auto top = TopKExact(kDtw, data, query, 1);
+    auto top = TopKExact(data, query, 1);
     ASSERT_EQ(top.size(), 1u);
     ExactS exact(&kDtw);
     auto r = exact.Search(data, query);
@@ -76,7 +61,7 @@ TEST(TopKExactTest, Top1MatchesExactS) {
 TEST(TopKExactTest, ResultsAreDistinctAndSorted) {
   auto data = Line({3, 1, 4, 1, 5, 9, 2, 6});
   auto query = Line({1, 5});
-  auto top = TopKExact(kDtw, data, query, 10);
+  auto top = TopKExact(data, query, 10);
   ASSERT_EQ(top.size(), 10u);
   std::set<std::pair<int, int>> ranges;
   for (size_t i = 0; i < top.size(); ++i) {
@@ -93,7 +78,7 @@ TEST(TopKExactTest, KLargerThanCandidateCount) {
   // A wire-supplied k may be huge: storage grows with the candidates
   // offered, not with k.
   for (int k : {100, std::numeric_limits<int>::max()}) {
-    auto top = TopKExact(kDtw, data, query, k);
+    auto top = TopKExact(data, query, k);
     EXPECT_EQ(top.size(), 3u) << "k=" << k;  // (0,0), (1,1), (0,1)
   }
 }
@@ -101,7 +86,7 @@ TEST(TopKExactTest, KLargerThanCandidateCount) {
 TEST(TopKExactTest, MinSizeFiltersShortCandidates) {
   auto data = Line({1, 2, 3, 4, 5});
   auto query = Line({1, 2});
-  auto top = TopKExact(kDtw, data, query, 100, /*min_size=*/3);
+  auto top = TopKExact(data, query, 100, /*min_size=*/3);
   for (const auto& cand : top) {
     EXPECT_GE(cand.range.size(), 3);
   }
@@ -118,7 +103,7 @@ TEST(TopKExactTest, DistancesMatchReScoring) {
   for (int i = 0; i < 3; ++i) {
     query.emplace_back(rng.Uniform(-5, 5), rng.Uniform(-5, 5));
   }
-  for (const auto& cand : TopKExact(kDtw, data, query, 5)) {
+  for (const auto& cand : TopKExact(data, query, 5)) {
     std::span<const Point> sub(&data[static_cast<size_t>(cand.range.start)],
                                static_cast<size_t>(cand.range.size()));
     EXPECT_NEAR(cand.distance, similarity::DtwDistance(sub, query), 1e-9);

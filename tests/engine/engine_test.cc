@@ -385,8 +385,12 @@ TEST(EngineTest, SubtrajectoryTopKIsIdenticalAcrossThreadsAndPrune) {
           EXPECT_EQ(got.trajectories_pruned, want.trajectories_pruned)
               << label;
           ExpectSameResults(want, got, label);
+          if (!prune) {
+            EXPECT_EQ(got.dp_abandoned, 0) << label;
+          }
           if (threads == 1 && prune) {
             EXPECT_GT(got.lb_skipped, 0) << label;
+            EXPECT_GT(got.dp_abandoned, 0) << label;
           }
         }
       }
