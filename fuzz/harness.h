@@ -43,6 +43,10 @@ void FuzzFailpoint(const uint8_t* data, size_t size);
 /// status, never UB or a CHECK abort.
 void FuzzResolve(const uint8_t* data, size_t size);
 
+/// rl/policy_io: LoadPolicy over hostile policy text; an accepted policy
+/// then runs one ForwardCached and one RlsSearch::Search over a fixed pair.
+void FuzzPolicy(const uint8_t* data, size_t size);
+
 }  // namespace simsub::fuzz
 
 #endif  // SIMSUB_FUZZ_HARNESS_H_

@@ -39,10 +39,16 @@ struct DenseLayer {
   std::vector<double> gb;  // accumulated dL/db
 };
 
-/// Multi-layer perceptron operating on single samples (minibatches loop and
-/// accumulate gradients; at these sizes that is faster than a GEMM setup).
+/// Multi-layer perceptron operating on single samples: a minibatch is one
+/// ForwardCached/Backward pair per sample, accumulating into the layers'
+/// gradient buffers (at these sizes that beats a GEMM set-up). Both passes
+/// work in buffers owned by a Cache, so a caller that keeps its Cache
+/// allocates nothing once the cache has seen one sample.
 class Mlp {
  public:
+  /// ForwardCached's `unit` value that activates every output unit.
+  static constexpr int kAllUnits = -1;
+
   struct LayerSpec {
     int out = 0;
     Activation act = Activation::kNone;
@@ -68,26 +74,40 @@ class Mlp {
   /// Inference-only forward pass.
   std::vector<double> Forward(std::span<const double> x) const;
 
-  /// Per-layer post-activation values retained for Backward(). Reusing one
-  /// Cache across calls avoids per-call allocations in hot loops (DQN
-  /// training and RLS inference).
+  /// The buffers of one forward/backward pair. Reusing one Cache across
+  /// calls keeps hot loops (DQN training, RLS inference) allocation-free.
   struct Cache {
     std::vector<std::vector<double>> post;  // post[l] = output of layer l
+    /// The output unit the last forward pass activated alone, or kAllUnits.
+    /// The other units of post.back() then hold pre-activation values.
+    int unit = kAllUnits;
+    std::vector<double> grad;    // Backward: dL/d(output) of the layer
+    std::vector<double> dinput;  // Backward: dL/d(input) of the layer
   };
 
   /// Forward pass retaining intermediate activations.
   std::vector<double> Forward(std::span<const double> x, Cache* cache) const;
 
-  /// Allocation-free forward: computes into `cache` (whose buffers are
-  /// reused across calls) and returns a reference to the output activations,
-  /// valid until the next call with the same cache.
+  /// Allocation-free forward: computes into `cache` and returns a reference
+  /// to its output buffer, valid until the next call with the same cache.
+  /// Every hidden unit is activated. Of the output units, all are activated
+  /// for `unit` == kAllUnits; otherwise only output `unit` is, and the others
+  /// keep their pre-activation values (a caller that reads one output skips
+  /// the others' activation, and Backward still sees every unit).
   const std::vector<double>& ForwardCached(std::span<const double> x,
-                                           Cache* cache) const;
+                                           Cache* cache,
+                                           int unit = kAllUnits) const;
 
-  /// Accumulates parameter gradients for dL/dy = `dy` at the cached forward
-  /// pass; returns dL/dx. Call params().ZeroGrad() to reset accumulators.
-  std::vector<double> Backward(std::span<const double> x, const Cache& cache,
-                               std::span<const double> dy);
+  /// Accumulates parameter gradients for dL/dy = `dy` at the forward pass
+  /// held in `cache`, and writes dL/dx into `dx` when `dx` is non-empty (of
+  /// size input_dim()); with `dx` empty the first layer's input gradient is
+  /// not computed. An output unit the forward pass left unactivated is
+  /// activated here only where it can contribute: when its dy is nonzero, or
+  /// its pre-activation is NaN, which poisons its gradient row exactly as
+  /// after a full forward pass. Call params().ZeroGrad() to reset the
+  /// accumulators.
+  void Backward(std::span<const double> x, Cache* cache,
+                std::span<const double> dy, std::span<double> dx = {});
 
   /// Copies weights from a same-architecture network (target-net sync).
   void CopyFrom(const Mlp& other);

@@ -57,12 +57,12 @@ int DqnAgent::GreedyAction(const std::vector<double>& state) const {
 void DqnAgent::Remember(Experience e) { replay_.Add(std::move(e)); }
 
 void DqnAgent::Learn() {
-  if (replay_.size() < static_cast<size_t>(options_.batch_size)) return;
-  auto batch =
-      replay_.Sample(static_cast<size_t>(options_.batch_size), rng_);
+  const size_t batch_size = static_cast<size_t>(options_.batch_size);
+  if (replay_.size() < batch_size) return;
+  replay_.Sample(batch_size, rng_, &batch_);
   main_.params().ZeroGrad();
-  const double inv_batch = 1.0 / static_cast<double>(batch.size());
-  for (const Experience* e : batch) {
+  const double inv_batch = 1.0 / static_cast<double>(batch_size);
+  for (const Experience* e : batch_) {
     double y = e->reward;
     if (!e->terminal) {
       const std::vector<double>& next_q =
@@ -75,12 +75,13 @@ void DqnAgent::Learn() {
         y += options_.gamma * *std::max_element(next_q.begin(), next_q.end());
       }
     }
-    const std::vector<double>& q = main_.ForwardCached(e->state, &main_cache_);
-    // Squared error on the taken action only: dL/dq_a = 2 (q_a - y) / B.
-    dy_scratch_.assign(q.size(), 0.0);
-    dy_scratch_[static_cast<size_t>(e->action)] =
-        2.0 * (q[static_cast<size_t>(e->action)] - y) * inv_batch;
-    main_.Backward(e->state, main_cache_, dy_scratch_);
+    // Squared error on the taken action only, so only its unit is activated:
+    // dL/dq_a = 2 (q_a - y) / B.
+    const size_t a = static_cast<size_t>(e->action);
+    const double q_a = main_.ForwardCached(e->state, &main_cache_, e->action)[a];
+    dy_scratch_.assign(static_cast<size_t>(action_count_), 0.0);
+    dy_scratch_[a] = 2.0 * (q_a - y) * inv_batch;
+    main_.Backward(e->state, &main_cache_, dy_scratch_);
   }
   optimizer_.Step();
 }

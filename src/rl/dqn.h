@@ -58,7 +58,12 @@ class DqnAgent {
 
   /// One minibatch gradient step on loss (y - Q(s, a; θ))² with
   /// y = r (terminal) or r + γ max_a' Q̂(s', a'; θ⁻). No-op until the
-  /// replay memory holds at least one batch.
+  /// replay memory holds at least one batch. Per sample, the target network
+  /// activates every head (the bootstrap max reads them all, as double DQN's
+  /// online argmax reads every online head), while the loss's forward pass
+  /// activates only the taken action's unit and the backward pass stops at
+  /// the first layer's parameters. Every buffer is agent-owned, so after
+  /// the first call a step allocates nothing.
   void Learn();
 
   /// θ⁻ <- θ (Algorithm 3 line 25; called at the end of each episode).
@@ -83,9 +88,10 @@ class DqnAgent {
   nn::Adam optimizer_;
   ReplayMemory replay_;
   double epsilon_;
-  // Reused forward-pass buffers; the agent is single-threaded by contract.
+  // Reused learning-step buffers; the agent is single-threaded by contract.
   mutable nn::Mlp::Cache main_cache_;
   mutable nn::Mlp::Cache target_cache_;
+  std::vector<const Experience*> batch_;
   std::vector<double> dy_scratch_;
 };
 

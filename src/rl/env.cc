@@ -25,6 +25,8 @@ void SplitEnv::Reset(std::span<const geo::Point> data,
   data_ = data;
   query_ = query;
   prefix_eval_ = measure_->NewEvaluator(query_);
+  start_calls_ = 0;
+  extend_calls_ = 0;
   if (options_.use_suffix) {
     suffix_dist_ = similarity::ComputeSuffixDistances(*measure_, data_, query_);
     start_calls_ += 1;

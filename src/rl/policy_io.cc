@@ -1,5 +1,6 @@
 #include "rl/policy_io.h"
 
+#include <cstdint>
 #include <fstream>
 #include <memory>
 
@@ -33,13 +34,21 @@ util::Result<TrainedPolicy> LoadPolicy(std::istream& is) {
   if (policy.env_options.skip_count < 0) {
     return util::Status::IOError("corrupt policy: negative skip count");
   }
+  if (transform != static_cast<int>(
+                       similarity::SimilarityTransform::kOneOverOnePlus) &&
+      transform != static_cast<int>(
+                       similarity::SimilarityTransform::kReciprocal)) {
+    return util::Status::IOError("corrupt policy: unknown similarity transform");
+  }
   policy.env_options.use_suffix = use_suffix != 0;
   policy.env_options.transform =
       static_cast<similarity::SimilarityTransform>(transform);
   auto net = nn::Mlp::Load(is);
   if (!net.ok()) return net.status();
-  // The network head must cover the action space of the env options.
-  int expected_actions = 2 + policy.env_options.skip_count;
+  // The network head must cover the action space of the env options. In 64
+  // bits: the skip count is read from the file and may be near INT_MAX.
+  const int64_t expected_actions =
+      2 + static_cast<int64_t>(policy.env_options.skip_count);
   if (net->output_dim() != expected_actions) {
     return util::Status::IOError("policy/network action-count mismatch");
   }

@@ -18,17 +18,15 @@ void ReplayMemory::Add(Experience e) {
   next_ = (next_ + 1) % capacity_;
 }
 
-std::vector<const Experience*> ReplayMemory::Sample(size_t count,
-                                                    util::Rng& rng) const {
+void ReplayMemory::Sample(size_t count, util::Rng& rng,
+                          std::vector<const Experience*>* out) const {
   SIMSUB_CHECK(!buffer_.empty());
-  std::vector<const Experience*> out;
-  out.reserve(count);
+  out->clear();
   for (size_t i = 0; i < count; ++i) {
     size_t idx = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(buffer_.size()) - 1));
-    out.push_back(&buffer_[idx]);
+    out->push_back(&buffer_[idx]);
   }
-  return out;
 }
 
 }  // namespace simsub::rl

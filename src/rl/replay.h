@@ -30,9 +30,12 @@ class ReplayMemory {
   size_t size() const { return buffer_.size(); }
   size_t capacity() const { return capacity_; }
 
-  /// Samples `count` experiences uniformly with replacement (the classic
-  /// DQN minibatch). Returned pointers are valid until the next Add().
-  std::vector<const Experience*> Sample(size_t count, util::Rng& rng) const;
+  /// Replaces `*out` with `count` experiences sampled uniformly with
+  /// replacement (the classic DQN minibatch); reusing one `out` across calls
+  /// keeps sampling allocation-free. The pointers are valid until the next
+  /// Add().
+  void Sample(size_t count, util::Rng& rng,
+              std::vector<const Experience*>* out) const;
 
  private:
   size_t capacity_;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/adam.h"
 
@@ -68,7 +72,8 @@ TEST(MlpTest, BackwardMatchesNumericalGradient) {
   Mlp::Cache cache;
   auto y = net.Forward(x, &cache);
   std::vector<double> dy(y.size(), 1.0);  // dL/dy = 1
-  auto dx = net.Backward(x, cache, dy);
+  std::vector<double> dx(x.size());
+  net.Backward(x, &cache, dy, dx);
 
   const double eps = 1e-6;
   // Check every parameter gradient.
@@ -109,9 +114,9 @@ TEST(MlpTest, GradientsAccumulateAcrossBackwardCalls) {
   Mlp::Cache cache;
   net.Forward(x, &cache);
   std::vector<double> dy = {1.0};
-  net.Backward(x, cache, dy);
+  net.Backward(x, &cache, dy);
   double g1 = (*net.params().views()[0].grad)[0];
-  net.Backward(x, cache, dy);
+  net.Backward(x, &cache, dy);
   double g2 = (*net.params().views()[0].grad)[0];
   EXPECT_NEAR(g2, 2 * g1, 1e-12);
 }
@@ -133,6 +138,78 @@ TEST(MlpTest, SaveLoadRoundTrip) {
 TEST(MlpTest, LoadRejectsGarbage) {
   std::stringstream ss("not a network");
   EXPECT_FALSE(Mlp::Load(ss).ok());
+}
+
+// "mlp <input_dim> <layer count>" and, per {in, out} pair, a layer header
+// followed by in * out + out weights.
+std::string NetText(int input_dim, int layer_count,
+                    const std::vector<std::pair<int, int>>& layers) {
+  std::ostringstream os;
+  os << "mlp " << input_dim << " " << layer_count << "\n";
+  for (const auto& [in, out] : layers) {
+    os << in << " " << out << " relu\n";
+    for (int k = 0; k < in * out + out; ++k) os << "0.5 ";
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(MlpTest, LoadRejectsNetworksThatDoNotChain) {
+  const std::vector<std::string> texts = {
+      // A second layer that claims 50 inputs behind a 20-unit layer.
+      NetText(3, 2, {{3, 20}, {50, 2}}),
+      // No layer at all.
+      "mlp 3 0\n",
+      // A first layer that does not take the header's input width.
+      NetText(3, 1, {{4, 2}}),
+      // A layer that claims 2e9 x 2e9 weights.
+      "mlp 3 1\n2000000000 2000000000 sigmoid\n0.5\n",
+      // A layer that claims 6e9 weights the stream does not hold.
+      "mlp 3 1\n3 2000000000 sigmoid\n0.5 0.5\n",
+  };
+  for (const std::string& text : texts) {
+    std::stringstream ss(text);
+    auto loaded = Mlp::Load(ss);
+    ASSERT_FALSE(loaded.ok()) << text.substr(0, 40);
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
+  }
+  std::stringstream ok(NetText(3, 2, {{3, 20}, {20, 2}}));
+  auto loaded = Mlp::Load(ok);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->output_dim(), 2);
+}
+
+TEST(MlpTest, SingleUnitForwardFeedsTheSameBackward) {
+  // Activating only the unit the loss reads leaves the gradients of a full
+  // forward pass unchanged, bit for bit, also when an unread unit's
+  // pre-activation is NaN (its row is poisoned either way).
+  for (bool poison : {false, true}) {
+    util::Rng rng(9);
+    Mlp full = MakeNet(rng, 3, 8, 4);
+    // Views are w0, b0, w1, b1: poison output unit 2's bias.
+    if (poison) (*full.params().views()[3].value)[2] = std::nan("");
+    Mlp partial = full.Clone();
+    std::vector<double> x = {0.3, -0.4, 0.9};
+    std::vector<double> dy = {0.0, 0.25, 0.0, 0.0};
+    Mlp::Cache full_cache, partial_cache;
+    full.params().ZeroGrad();
+    partial.params().ZeroGrad();
+    double q_full = full.ForwardCached(x, &full_cache)[1];
+    double q_partial = partial.ForwardCached(x, &partial_cache, 1)[1];
+    EXPECT_EQ(std::memcmp(&q_full, &q_partial, sizeof(double)), 0);
+    full.Backward(x, &full_cache, dy);
+    partial.Backward(x, &partial_cache, dy);
+    const auto& a = full.params().views();
+    const auto& b = partial.params().views();
+    for (size_t v = 0; v < a.size(); ++v) {
+      ASSERT_EQ(a[v].grad->size(), b[v].grad->size());
+      EXPECT_EQ(std::memcmp(a[v].grad->data(), b[v].grad->data(),
+                            a[v].grad->size() * sizeof(double)),
+                0)
+          << "parameter tensor " << v;
+    }
+    EXPECT_EQ(std::isnan((*a[2].grad)[2 * 8]), poison);
+  }
 }
 
 TEST(MlpTest, ActivationHelpers) {
@@ -164,7 +241,7 @@ TEST(MlpTest, TrainsToFitTinyFunction) {
       Mlp::Cache cache;
       auto y = net.Forward(x, &cache);
       std::vector<double> dy = {2.0 * (y[0] - target)};
-      net.Backward(x, cache, dy);
+      net.Backward(x, &cache, dy);
     }
     adam.Step();
   }

@@ -2,7 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
+
+// Counts operator new calls while a test turns counting on. Replacing the
+// global operators is test-local: only this binary links them.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<long long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace simsub::rl {
 namespace {
@@ -155,6 +175,31 @@ TEST(DqnAgentTest, DoubleDqnBootstrapsThroughOnlineArgmax) {
   int a = agent.GreedyAction(s);
   EXPECT_GE(a, 0);
   EXPECT_LT(a, 3);
+}
+
+TEST(DqnAgentTest, LearnAllocatesNothingAfterWarmUp) {
+  for (bool double_dqn : {false, true}) {
+    DqnOptions options;  // the paper's sizes: 20 hidden units, batch 32
+    options.double_dqn = double_dqn;
+    DqnAgent agent(3, 5, options, 13);
+    util::Rng rng(17);
+    for (int i = 0; i < 200; ++i) {
+      Experience e;
+      e.state = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      e.action = static_cast<int>(rng.UniformInt(0, 4));
+      e.reward = rng.Uniform();
+      e.next_state = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      e.terminal = rng.Bernoulli(0.2);
+      agent.Remember(std::move(e));
+    }
+    agent.Learn();  // warm-up: sizes the agent's buffers
+    g_news = 0;
+    g_count_news = true;
+    for (int i = 0; i < 50; ++i) agent.Learn();
+    g_count_news = false;
+    EXPECT_EQ(g_news.load(), 0) << "double_dqn=" << double_dqn;
+    EXPECT_EQ(agent.learn_steps(), 51);
+  }
 }
 
 TEST(DqnAgentTest, ExportPolicySnapshotIsStable) {

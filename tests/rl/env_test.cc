@@ -35,6 +35,26 @@ TEST(SplitEnvTest, StateDimAndActionCount) {
   EXPECT_EQ(ns.state_dim(), 2);
 }
 
+// The trainer keeps one env for all episodes, so Reset must start every
+// counter from zero: a reused env reports what a fresh one does.
+TEST(SplitEnvTest, ResetStartsCountersAfresh) {
+  EnvOptions options;
+  options.skip_count = 2;
+  auto data = Line({0, 1, 2, 3, 4, 5, 6, 7});
+  auto query = Line({2, 3, 4});
+  auto roll = [&](SplitEnv& env) {
+    env.Reset(data, query);
+    for (int step = 0; !env.done(); ++step) env.Step(step % env.action_count());
+    return std::vector<int64_t>{env.points_scanned(), env.points_skipped(),
+                                env.start_calls(), env.extend_calls(),
+                                env.splits()};
+  };
+  SplitEnv reused(&kDtw, options);
+  roll(reused);
+  SplitEnv fresh(&kDtw, options);
+  EXPECT_EQ(roll(reused), roll(fresh));
+}
+
 TEST(SplitEnvTest, EpisodeTerminatesAfterAllPoints) {
   SplitEnv env(&kDtw, EnvOptions{});
   auto data = Line({0, 1, 2, 3, 4});

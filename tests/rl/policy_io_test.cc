@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/generator.h"
 #include "similarity/dtw.h"
@@ -45,6 +48,48 @@ TEST(PolicyIoTest, RoundTripPreservesNetworkAndOptions) {
   auto q2 = loaded->net->Forward(s);
   ASSERT_EQ(q1.size(), q2.size());
   for (size_t i = 0; i < q1.size(); ++i) EXPECT_DOUBLE_EQ(q1[i], q2[i]);
+}
+
+// A policy header for `skip_count`, then "mlp 3 <layer count>" and, per
+// {in, out} pair, a layer header followed by in * out + out weights.
+std::string PolicyText(long long skip_count, int layer_count,
+                       const std::vector<std::pair<int, int>>& layers,
+                       int transform = 0) {
+  std::ostringstream os;
+  os << "simsub-policy-v1 " << skip_count << " 1 " << transform << " 0.1\n";
+  os << "mlp 3 " << layer_count << "\n";
+  for (const auto& [in, out] : layers) {
+    os << in << " " << out << (out == 20 ? " relu\n" : " sigmoid\n");
+    for (int k = 0; k < in * out + out; ++k) os << "0.25 ";
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(PolicyIoTest, RejectsNetworksThatDoNotChainOrMatchTheHeader) {
+  const std::vector<std::string> texts = {
+      // A second layer that claims 50 inputs behind a 20-unit layer.
+      PolicyText(0, 2, {{3, 20}, {50, 2}}),
+      // No layer, under a header whose action count (3) equals the width.
+      PolicyText(1, 0, {}),
+      // A skip count whose action count overflows 32 bits.
+      PolicyText(2147483647, 1, {{3, 2}}),
+      // A layer that claims 2e9 x 2e9 weights.
+      "simsub-policy-v1 0 1 0 0.1\nmlp 3 1\n"
+      "2000000000 2000000000 sigmoid\n0.5\n",
+      // A similarity transform that does not exist.
+      PolicyText(0, 2, {{3, 20}, {20, 2}}, /*transform=*/7),
+  };
+  for (const std::string& text : texts) {
+    std::stringstream ss(text);
+    auto loaded = LoadPolicy(ss);
+    ASSERT_FALSE(loaded.ok()) << text.substr(0, 60);
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
+  }
+  std::stringstream ok(PolicyText(0, 2, {{3, 20}, {20, 2}}));
+  auto loaded = LoadPolicy(ok);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->net->output_dim(), 2);
 }
 
 TEST(PolicyIoTest, NoSuffixPolicyRoundTrips) {

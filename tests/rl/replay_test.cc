@@ -36,8 +36,10 @@ TEST(ReplayTest, RingOverwritesOldest) {
   mem.Add(Make(0, 3.0));  // overwrites reward 1.0
   util::Rng rng(1);
   bool saw_1 = false;
+  std::vector<const Experience*> batch;
   for (int i = 0; i < 200; ++i) {
-    for (const Experience* e : mem.Sample(2, rng)) {
+    mem.Sample(2, rng, &batch);
+    for (const Experience* e : batch) {
       if (e->reward == 1.0) saw_1 = true;
     }
   }
@@ -48,7 +50,8 @@ TEST(ReplayTest, SampleReturnsRequestedCount) {
   ReplayMemory mem(10);
   for (int i = 0; i < 5; ++i) mem.Add(Make(i % 2, i));
   util::Rng rng(2);
-  auto batch = mem.Sample(32, rng);
+  std::vector<const Experience*> batch;
+  mem.Sample(32, rng, &batch);
   EXPECT_EQ(batch.size(), 32u);
   for (const Experience* e : batch) {
     ASSERT_NE(e, nullptr);
@@ -62,8 +65,10 @@ TEST(ReplayTest, SampleCoversBuffer) {
   for (int i = 0; i < 4; ++i) mem.Add(Make(0, i));
   util::Rng rng(3);
   std::set<double> seen;
+  std::vector<const Experience*> batch;
   for (int trial = 0; trial < 100; ++trial) {
-    for (const Experience* e : mem.Sample(4, rng)) seen.insert(e->reward);
+    mem.Sample(4, rng, &batch);
+    for (const Experience* e : batch) seen.insert(e->reward);
   }
   EXPECT_EQ(seen.size(), 4u);
 }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <future>
+
 #include "data/generator.h"
 #include "similarity/dtw.h"
+#include "util/thread_pool.h"
 
 namespace simsub::rl {
 namespace {
@@ -72,6 +77,91 @@ TEST(RlsTrainerTest, EpisodeReturnsAreBounded) {
     EXPECT_GE(r, 0.0);
     EXPECT_LE(r, 1.0 + 1e-12);
   }
+}
+
+// FNV-1a over the bit patterns of every weight and bias, layer by layer.
+uint64_t WeightBits(const nn::Mlp& net) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const nn::DenseLayer& layer : net.layers()) {
+    for (const std::vector<double>* tensor : {&layer.w, &layer.b}) {
+      for (double value : *tensor) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof(bits));
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (bits >> (8 * byte)) & 0xff;
+          hash *= 0x100000001b3ULL;
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+struct PinnedRun {
+  const char* name;
+  int skip_count;
+  bool double_dqn;
+  uint64_t weight_bits;
+};
+
+RlsTrainOptions PinnedOptions(const PinnedRun& run) {
+  RlsTrainOptions options;
+  options.episodes = 40;
+  options.seed = 2024;
+  options.env.skip_count = run.skip_count;
+  options.dqn.double_dqn = run.double_dqn;
+  return options;
+}
+
+// Fixed-seed training is pinned to the weight bit patterns of a reference
+// build (x86-64, glibc libm, no FMA contraction): a change to the learning
+// step that reorders one sum, drops one activation or changes NaN handling
+// moves these hashes.
+constexpr PinnedRun kPinnedRuns[] = {
+    {"rls", 0, false, 0xe37c1e5116c2c1caULL},
+    {"rls_skip", 3, false, 0x3da2615a4b26e43fULL},
+    {"rls_double_dqn", 0, true, 0x63f2db727fe6d04dULL},
+};
+
+TEST(RlsTrainerTest, TrainedWeightsArePinnedBitForBit) {
+  similarity::DtwMeasure dtw;
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 24, 81);
+  for (const PinnedRun& run : kPinnedRuns) {
+    RlsTrainer trainer(&dtw, PinnedOptions(run));
+    TrainedPolicy policy =
+        trainer.Train(dataset.trajectories, dataset.trajectories);
+    EXPECT_EQ(WeightBits(*policy.net), run.weight_bits)
+        << run.name << ": 0x" << std::hex << WeightBits(*policy.net);
+  }
+}
+
+TEST(RlsTrainerTest, ConcurrentTrainersMatchSequentialOnes) {
+  // pairs_rl trains its RLS and RLS-Skip policies concurrently: trainers
+  // share no mutable state, so two pool tasks give the sequential weights.
+  similarity::DtwMeasure dtw;
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 24, 82);
+  const PinnedRun runs[2] = {kPinnedRuns[0], kPinnedRuns[1]};
+  uint64_t sequential[2] = {0, 0};
+  for (int r = 0; r < 2; ++r) {
+    RlsTrainer trainer(&dtw, PinnedOptions(runs[r]));
+    sequential[r] = WeightBits(
+        *trainer.Train(dataset.trajectories, dataset.trajectories).net);
+  }
+  uint64_t concurrent[2] = {0, 0};
+  util::ThreadPool pool(2);
+  std::future<void> done[2];
+  for (int r = 0; r < 2; ++r) {
+    done[r] = pool.Submit([&, r] {
+      RlsTrainer trainer(&dtw, PinnedOptions(runs[r]));
+      concurrent[r] = WeightBits(
+          *trainer.Train(dataset.trajectories, dataset.trajectories).net);
+    });
+  }
+  for (std::future<void>& f : done) f.get();
+  EXPECT_EQ(concurrent[0], sequential[0]);
+  EXPECT_EQ(concurrent[1], sequential[1]);
 }
 
 }  // namespace

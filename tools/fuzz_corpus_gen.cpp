@@ -3,13 +3,14 @@
 //   fuzz_corpus_gen <out_root>
 //
 // Writes one subdirectory per harness (wire/, snapshot/, csv/, failpoint/,
-// resolve/) containing seeds built with the real encoders — EncodeQuery,
-// EncodeReport, WriteSnapshot, SaveCsv — plus near-valid corruptions of
-// each, so coverage-guided fuzzing starts on the deep decode paths instead
-// of spending its budget rediscovering the envelope formats. Output is a
-// pure function of this source file (fixed values, no clocks, no
-// randomness): regenerating into a clean directory reproduces the corpus
-// byte for byte.
+// resolve/, policy/) containing seeds built with the real encoders —
+// EncodeQuery, EncodeReport, WriteSnapshot, SaveCsv, SavePolicy — plus
+// near-valid corruptions of each, so coverage-guided fuzzing starts on the
+// deep decode paths instead of spending its budget rediscovering the
+// envelope formats. Output is a pure function of this source file (fixed
+// values and seeds, no clocks): regenerating into a clean directory
+// reproduces the corpus byte for byte. The trained policy seeds also
+// depend on the platform's libm, as every trained weight does.
 //
 // The checked-in fuzz/corpus/ trees were produced by this tool and then
 // extended with minimized regression inputs from fuzzing runs; regenerate
@@ -22,16 +23,22 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/generator.h"
 #include "data/snapshot.h"
 #include "engine/engine.h"
 #include "geo/point.h"
 #include "geo/trajectory.h"
 #include "net/wire.h"
+#include "rl/policy_io.h"
+#include "rl/trainer.h"
 #include "service/query_spec.h"
+#include "similarity/dtw.h"
 #include "util/io.h"
 #include "util/status.h"
 
@@ -247,6 +254,57 @@ int GenResolve(const fs::path& dir) {
   return ok ? 0 : 1;
 }
 
+// A policy text: the simsub-policy-v1 header for `skip_count`, then
+// "mlp 3 <layer count>" and, per {in, out} pair, a layer header followed by
+// in * out + out weights.
+std::string PolicyText(long long skip_count, int layer_count,
+                       const std::vector<std::pair<int, int>>& layers) {
+  std::ostringstream os;
+  os << "simsub-policy-v1 " << skip_count << " 1 0 0.1\n";
+  os << "mlp 3 " << layer_count << "\n";
+  for (const auto& [in, out] : layers) {
+    os << in << " " << out << (out == 20 ? " relu\n" : " sigmoid\n");
+    for (int k = 0; k < in * out + out; ++k) os << "0.25 ";
+    os << "\n";
+  }
+  return os.str();
+}
+
+int GenPolicy(const fs::path& dir) {
+  // Two small trained policies (RLS and RLS-Skip) so fuzzing starts from
+  // real weights, plus the network shapes the decoder must reject.
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 16, 5);
+  similarity::DtwMeasure dtw;
+  bool ok = true;
+  for (int skip_count : {0, 3}) {
+    rl::RlsTrainOptions options;
+    options.episodes = 12;
+    options.seed = 7;
+    options.env.skip_count = skip_count;
+    rl::RlsTrainer trainer(&dtw, options);
+    std::ostringstream text;
+    ok &= rl::SavePolicy(
+              trainer.Train(dataset.trajectories, dataset.trajectories), text)
+              .ok();
+    ok &= WriteText(dir / (skip_count == 0 ? "seed-rls" : "seed-rls-skip"),
+                    text.str());
+  }
+  // A second layer that claims 50 inputs behind a 20-unit layer.
+  ok &= WriteText(dir / "seed-chain-mismatch",
+                  PolicyText(0, 2, {{3, 20}, {50, 2}}));
+  // No layer, under a header whose action count (3) equals the width.
+  ok &= WriteText(dir / "seed-no-layers", PolicyText(1, 0, {}));
+  // A skip count whose action count overflows 32 bits.
+  ok &= WriteText(dir / "seed-skip-overflow",
+                  PolicyText(2147483647, 1, {{3, 2}}));
+  // A layer that claims 2e9 x 2e9 weights.
+  ok &= WriteText(dir / "seed-huge-layer",
+                  "simsub-policy-v1 0 1 0 0.1\nmlp 3 1\n"
+                  "2000000000 2000000000 sigmoid\n0.5\n");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,7 +321,8 @@ int main(int argc, char** argv) {
                      {"snapshot", GenSnapshot},
                      {"csv", GenCsv},
                      {"failpoint", GenFailpoint},
-                     {"resolve", GenResolve}};
+                     {"resolve", GenResolve},
+                     {"policy", GenPolicy}};
   for (const auto& g : kGenerators) {
     const fs::path dir = root / g.name;
     std::error_code ec;
