@@ -44,7 +44,7 @@ void FuzzFailpoint(const uint8_t* data, size_t size);
 void FuzzResolve(const uint8_t* data, size_t size);
 
 /// rl/policy_io: LoadPolicy over hostile policy text; an accepted policy
-/// then runs one ForwardCached and one RlsSearch::Search over a fixed pair.
+/// then runs one Mlp::Forward and one RlsSearch::Search over a fixed pair.
 void FuzzPolicy(const uint8_t* data, size_t size);
 
 }  // namespace simsub::fuzz

@@ -17,12 +17,12 @@ void FuzzPolicy(const uint8_t* data, size_t size) {
   auto policy = rl::LoadPolicy(in);
   if (!policy.ok()) return;
   // An accepted policy must run: rls_policy_path names a server-side file,
-  // so whatever LoadPolicy accepts reaches ForwardCached and the splitting
+  // so whatever LoadPolicy accepts reaches Mlp::Forward and the splitting
   // MDP from the wire.
   const nn::Mlp& net = *policy->net;
   nn::Mlp::Cache cache;
   const std::vector<double> state(static_cast<size_t>(net.input_dim()), 0.5);
-  (void)net.ForwardCached(state, &cache);
+  (void)net.Forward(state, &cache);
 
   static const similarity::DtwMeasure kDtw;
   const algo::RlsSearch search(&kDtw, std::move(policy).value());

@@ -34,7 +34,7 @@ SearchResult RlsSearch::DoSearch(std::span<const geo::Point> data,
   const nn::Mlp& net = *policy_.net;
   nn::Mlp::Cache cache;  // reused across all decisions of this search
   while (!env.done()) {
-    const std::vector<double>& q = net.ForwardCached(env.state(), &cache);
+    const std::vector<double>& q = net.Forward(env.state(), &cache);
     int action =
         static_cast<int>(std::max_element(q.begin(), q.end()) - q.begin());
     env.Step(action);

@@ -17,8 +17,10 @@ namespace simsub::nn {
 
 enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
-/// Parses "none|relu|sigmoid|tanh"; returns kNone on unknown input.
-Activation ActivationFromName(const std::string& name);
+/// Parses "none|relu|sigmoid|tanh"; fails with InvalidArgument on any other
+/// name.
+[[nodiscard]] util::Result<Activation> ActivationFromName(
+    const std::string& name);
 const char* ActivationName(Activation act);
 
 /// Applies the activation elementwise.
@@ -39,16 +41,17 @@ struct DenseLayer {
   std::vector<double> gb;  // accumulated dL/db
 };
 
-/// Multi-layer perceptron operating on single samples: a minibatch is one
-/// ForwardCached/Backward pair per sample, accumulating into the layers'
-/// gradient buffers (at these sizes that beats a GEMM set-up). Both passes
-/// work in buffers owned by a Cache, so a caller that keeps its Cache
-/// allocates nothing once the cache has seen one sample.
+/// Multi-layer perceptron over a minibatch of B >= 1 samples. Batches are
+/// feature-major: x[i * B + s] is input i of sample s, so one sample is a
+/// plain input vector. Each layer runs once over the whole batch, in register
+/// tiles of rows x samples whose shape is picked from B (B = 1 uses 4-row
+/// tiles); every sample's sums keep the index order of a one-sample pass, so
+/// the outputs and gradients of a batch are bit-identical to running its
+/// samples one at a time. Both passes work in buffers owned by a Cache, so a
+/// caller that keeps its Cache allocates nothing once the cache has seen its
+/// largest batch.
 class Mlp {
  public:
-  /// ForwardCached's `unit` value that activates every output unit.
-  static constexpr int kAllUnits = -1;
-
   struct LayerSpec {
     int out = 0;
     Activation act = Activation::kNone;
@@ -77,35 +80,38 @@ class Mlp {
   /// The buffers of one forward/backward pair. Reusing one Cache across
   /// calls keeps hot loops (DQN training, RLS inference) allocation-free.
   struct Cache {
+    size_t samples = 0;  // B of the last forward pass
     std::vector<std::vector<double>> post;  // post[l] = output of layer l
-    /// The output unit the last forward pass activated alone, or kAllUnits.
-    /// The other units of post.back() then hold pre-activation values.
-    int unit = kAllUnits;
-    std::vector<double> grad;    // Backward: dL/d(output) of the layer
-    std::vector<double> dinput;  // Backward: dL/d(input) of the layer
+    /// The output unit each sample of the last forward pass activated alone,
+    /// or empty when every unit was activated. The other output units of
+    /// such a sample hold pre-activation values in post.back().
+    std::vector<int> read;
+    // Backward: dL/d(output), then dL/d(pre-activation), of the layer.
+    std::vector<double> grad;
+    std::vector<double> dinput;      // Backward: dL/d(input) of the layer
+    std::vector<double> transposed;  // Backward: a layer input, sample-major
   };
 
-  /// Forward pass retaining intermediate activations.
-  std::vector<double> Forward(std::span<const double> x, Cache* cache) const;
+  /// Forward pass over the B = x.size() / input_dim() samples of `x` into
+  /// `cache`; returns a reference to its output_dim() x B output buffer,
+  /// valid until the next call with the same cache. Every hidden unit is
+  /// activated. Of the output units, all are activated when `read` is
+  /// empty; otherwise `read` names one unit per sample, only that unit is
+  /// activated, and the sample's other units keep their pre-activation
+  /// values (a caller that reads one output per sample skips the others'
+  /// activation, and Backward still sees every unit).
+  const std::vector<double>& Forward(std::span<const double> x, Cache* cache,
+                                     std::span<const int> read = {}) const;
 
-  /// Allocation-free forward: computes into `cache` and returns a reference
-  /// to its output buffer, valid until the next call with the same cache.
-  /// Every hidden unit is activated. Of the output units, all are activated
-  /// for `unit` == kAllUnits; otherwise only output `unit` is, and the others
-  /// keep their pre-activation values (a caller that reads one output skips
-  /// the others' activation, and Backward still sees every unit).
-  const std::vector<double>& ForwardCached(std::span<const double> x,
-                                           Cache* cache,
-                                           int unit = kAllUnits) const;
-
-  /// Accumulates parameter gradients for dL/dy = `dy` at the forward pass
-  /// held in `cache`, and writes dL/dx into `dx` when `dx` is non-empty (of
-  /// size input_dim()); with `dx` empty the first layer's input gradient is
-  /// not computed. An output unit the forward pass left unactivated is
-  /// activated here only where it can contribute: when its dy is nonzero, or
-  /// its pre-activation is NaN, which poisons its gradient row exactly as
-  /// after a full forward pass. Call params().ZeroGrad() to reset the
-  /// accumulators.
+  /// Accumulates parameter gradients for dL/dy = `dy` (output_dim() x B) at
+  /// the forward pass held in `cache`, summing the samples in order, and
+  /// writes dL/dx (input_dim() x B) into `dx` when `dx` is non-empty; with
+  /// `dx` empty the first layer's input gradient is not computed. A unit
+  /// whose dL/d(pre-activation) is zero adds nothing. An output unit the
+  /// forward pass left unactivated is activated here only where it can
+  /// contribute: when its dy is nonzero, or its pre-activation is NaN, which
+  /// poisons its gradient row exactly as after a full forward pass. Call
+  /// params().ZeroGrad() to reset the accumulators.
   void Backward(std::span<const double> x, Cache* cache,
                 std::span<const double> dy, std::span<double> dx = {});
 

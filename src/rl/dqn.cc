@@ -17,8 +17,15 @@ nn::Mlp BuildNet(int state_dim, int action_count, const DqnOptions& options,
   return nn::Mlp(state_dim, specs, rng);
 }
 
-int ArgMax(const std::vector<double>& v) {
-  return static_cast<int>(std::max_element(v.begin(), v.end()) - v.begin());
+// The first maximum among the `count` values v[0], v[stride], ... (the
+// element std::max_element picks).
+int ArgMax(const double* v, int count, size_t stride) {
+  int best = 0;
+  for (int o = 1; o < count; ++o) {
+    const size_t k = static_cast<size_t>(o) * stride;
+    if (v[static_cast<size_t>(best) * stride] < v[k]) best = o;
+  }
+  return best;
 }
 
 }  // namespace
@@ -51,38 +58,60 @@ int DqnAgent::SelectAction(const std::vector<double>& state) {
 }
 
 int DqnAgent::GreedyAction(const std::vector<double>& state) const {
-  return ArgMax(main_.ForwardCached(state, &main_cache_));
+  SIMSUB_CHECK_EQ(state.size(), static_cast<size_t>(state_dim_));
+  return ArgMax(main_.Forward(state, &main_cache_).data(), action_count_, 1);
 }
 
-void DqnAgent::Remember(Experience e) { replay_.Add(std::move(e)); }
+void DqnAgent::Remember(const Experience& e) { replay_.Add(e); }
 
 void DqnAgent::Learn() {
-  const size_t batch_size = static_cast<size_t>(options_.batch_size);
-  if (replay_.size() < batch_size) return;
-  replay_.Sample(batch_size, rng_, &batch_);
-  main_.params().ZeroGrad();
-  const double inv_batch = 1.0 / static_cast<double>(batch_size);
-  for (const Experience* e : batch_) {
-    double y = e->reward;
-    if (!e->terminal) {
-      const std::vector<double>& next_q =
-          target_.ForwardCached(e->next_state, &target_cache_);
-      if (options_.double_dqn) {
-        const std::vector<double>& online_q =
-            main_.ForwardCached(e->next_state, &main_cache_);
-        y += options_.gamma * next_q[static_cast<size_t>(ArgMax(online_q))];
-      } else {
-        y += options_.gamma * *std::max_element(next_q.begin(), next_q.end());
-      }
+  const size_t batch = static_cast<size_t>(options_.batch_size);
+  if (replay_.size() < batch) return;
+  replay_.Sample(batch, rng_, &batch_);
+  // Feature-major minibatch: column s holds sample s.
+  const size_t dim = static_cast<size_t>(state_dim_);
+  states_.resize(dim * batch);
+  next_states_.resize(dim * batch);
+  actions_.resize(batch);
+  targets_.resize(batch);
+  for (size_t s = 0; s < batch; ++s) {
+    const Experience& e = *batch_[s];
+    SIMSUB_CHECK_EQ(e.state.size(), dim);
+    // A terminal transition's next state is never read: its column is 0.
+    SIMSUB_CHECK(e.terminal || e.next_state.size() == dim);
+    for (size_t i = 0; i < dim; ++i) {
+      states_[i * batch + s] = e.state[i];
+      next_states_[i * batch + s] = e.terminal ? 0.0 : e.next_state[i];
     }
-    // Squared error on the taken action only, so only its unit is activated:
-    // dL/dq_a = 2 (q_a - y) / B.
-    const size_t a = static_cast<size_t>(e->action);
-    const double q_a = main_.ForwardCached(e->state, &main_cache_, e->action)[a];
-    dy_scratch_.assign(static_cast<size_t>(action_count_), 0.0);
-    dy_scratch_[a] = 2.0 * (q_a - y) * inv_batch;
-    main_.Backward(e->state, &main_cache_, dy_scratch_);
+    actions_[s] = e.action;
   }
+  // y = r, plus the discounted bootstrap for a non-terminal sample. The
+  // target network activates every head (the bootstrap max reads them all,
+  // as double DQN's online argmax reads every online head); a terminal
+  // sample's outputs are computed with the batch and not read.
+  const std::vector<double>& next_q = target_.Forward(next_states_, &target_cache_);
+  const std::vector<double>& argmax_of =
+      options_.double_dqn ? main_.Forward(next_states_, &main_cache_) : next_q;
+  for (size_t s = 0; s < batch; ++s) {
+    const Experience& e = *batch_[s];
+    double y = e.reward;
+    if (!e.terminal) {
+      const int best = ArgMax(argmax_of.data() + s, action_count_, batch);
+      y += options_.gamma * next_q[static_cast<size_t>(best) * batch + s];
+    }
+    targets_[s] = y;
+  }
+  // Squared error on the taken action only, so only its unit is activated:
+  // dL/dq_a = 2 (q_a - y) / B.
+  const std::vector<double>& q = main_.Forward(states_, &main_cache_, actions_);
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  dy_.assign(static_cast<size_t>(action_count_) * batch, 0.0);
+  for (size_t s = 0; s < batch; ++s) {
+    const size_t k = static_cast<size_t>(actions_[s]) * batch + s;
+    dy_[k] = 2.0 * (q[k] - targets_[s]) * inv_batch;
+  }
+  main_.params().ZeroGrad();
+  main_.Backward(states_, &main_cache_, dy_);
   optimizer_.Step();
 }
 

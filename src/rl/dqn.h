@@ -53,17 +53,20 @@ class DqnAgent {
   /// Pure exploitation (used at evaluation time).
   int GreedyAction(const std::vector<double>& state) const;
 
-  /// Stores a transition in the replay memory.
-  void Remember(Experience e);
+  /// Copies a transition into the replay memory.
+  void Remember(const Experience& e);
 
   /// One minibatch gradient step on loss (y - Q(s, a; θ))² with
   /// y = r (terminal) or r + γ max_a' Q̂(s', a'; θ⁻). No-op until the
-  /// replay memory holds at least one batch. Per sample, the target network
-  /// activates every head (the bootstrap max reads them all, as double DQN's
-  /// online argmax reads every online head), while the loss's forward pass
-  /// activates only the taken action's unit and the backward pass stops at
-  /// the first layer's parameters. Every buffer is agent-owned, so after
-  /// the first call a step allocates nothing.
+  /// replay memory holds at least one batch. The sampled minibatch is
+  /// gathered feature-major and each network runs once over all of it: one
+  /// target forward pass that activates every head (the bootstrap max reads
+  /// them all, as double DQN's online argmax reads every online head), one
+  /// loss forward pass that activates only each sample's taken action, and
+  /// one backward pass that sums the samples in order and stops at the
+  /// first layer's parameters. The weights match one pass per sample bit
+  /// for bit. Every buffer is agent-owned, so after the first call a step
+  /// allocates nothing.
   void Learn();
 
   /// θ⁻ <- θ (Algorithm 3 line 25; called at the end of each episode).
@@ -92,7 +95,11 @@ class DqnAgent {
   mutable nn::Mlp::Cache main_cache_;
   mutable nn::Mlp::Cache target_cache_;
   std::vector<const Experience*> batch_;
-  std::vector<double> dy_scratch_;
+  std::vector<double> states_;       // state_dim x batch, feature-major
+  std::vector<double> next_states_;  // state_dim x batch, feature-major
+  std::vector<int> actions_;
+  std::vector<double> targets_;
+  std::vector<double> dy_;  // action_count x batch
 };
 
 }  // namespace simsub::rl

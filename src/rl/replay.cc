@@ -9,11 +9,11 @@ ReplayMemory::ReplayMemory(size_t capacity) : capacity_(capacity) {
   buffer_.reserve(capacity);
 }
 
-void ReplayMemory::Add(Experience e) {
+void ReplayMemory::Add(const Experience& e) {
   if (buffer_.size() < capacity_) {
-    buffer_.push_back(std::move(e));
+    buffer_.push_back(e);
   } else {
-    buffer_[next_] = std::move(e);
+    buffer_[next_] = e;
   }
   next_ = (next_ + 1) % capacity_;
 }

@@ -25,7 +25,9 @@ class ReplayMemory {
  public:
   explicit ReplayMemory(size_t capacity);
 
-  void Add(Experience e);
+  /// Copies `e` into the ring. Once the ring is full, the evicted slot's
+  /// vectors take the copy, so a steady-state Add allocates nothing.
+  void Add(const Experience& e);
 
   size_t size() const { return buffer_.size(); }
   size_t capacity() const { return capacity_; }

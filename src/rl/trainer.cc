@@ -25,6 +25,7 @@ TrainedPolicy RlsTrainer::Train(std::span<const geo::Trajectory> data_pool,
                  rng.engine()());
   report_ = TrainReport{};
   report_.episode_returns.reserve(static_cast<size_t>(options_.episodes));
+  Experience step;  // reused: its vectors keep their capacity across steps
 
   for (int episode = 0; episode < options_.episodes; ++episode) {
     const geo::Trajectory& data =
@@ -37,17 +38,13 @@ TrainedPolicy RlsTrainer::Train(std::span<const geo::Trajectory> data_pool,
     env.Reset(data.View(), query.View());
     double episode_return = 0.0;
     while (!env.done()) {
-      std::vector<double> state = env.state();
-      int action = agent.SelectAction(state);
-      double reward = env.Step(action);
-      episode_return += reward;
-      Experience e;
-      e.state = std::move(state);
-      e.action = action;
-      e.reward = reward;
-      e.next_state = env.state();
-      e.terminal = env.done();
-      agent.Remember(std::move(e));
+      step.state = env.state();
+      step.action = agent.SelectAction(step.state);
+      step.reward = env.Step(step.action);
+      episode_return += step.reward;
+      step.next_state = env.state();
+      step.terminal = env.done();
+      agent.Remember(step);
       agent.Learn();
     }
     agent.DecayEpsilon();

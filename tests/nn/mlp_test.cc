@@ -166,6 +166,8 @@ TEST(MlpTest, LoadRejectsNetworksThatDoNotChain) {
       "mlp 3 1\n2000000000 2000000000 sigmoid\n0.5\n",
       // A layer that claims 6e9 weights the stream does not hold.
       "mlp 3 1\n3 2000000000 sigmoid\n0.5 0.5\n",
+      // A misspelt activation, which would otherwise run as a linear layer.
+      "mlp 2 1\n2 1 relux\n0.5 0.5 0.5\n",
   };
   for (const std::string& text : texts) {
     std::stringstream ss(text);
@@ -191,11 +193,12 @@ TEST(MlpTest, SingleUnitForwardFeedsTheSameBackward) {
     Mlp partial = full.Clone();
     std::vector<double> x = {0.3, -0.4, 0.9};
     std::vector<double> dy = {0.0, 0.25, 0.0, 0.0};
+    const int read[] = {1};
     Mlp::Cache full_cache, partial_cache;
     full.params().ZeroGrad();
     partial.params().ZeroGrad();
-    double q_full = full.ForwardCached(x, &full_cache)[1];
-    double q_partial = partial.ForwardCached(x, &partial_cache, 1)[1];
+    double q_full = full.Forward(x, &full_cache)[1];
+    double q_partial = partial.Forward(x, &partial_cache, read)[1];
     EXPECT_EQ(std::memcmp(&q_full, &q_partial, sizeof(double)), 0);
     full.Backward(x, &full_cache, dy);
     partial.Backward(x, &partial_cache, dy);
@@ -212,11 +215,85 @@ TEST(MlpTest, SingleUnitForwardFeedsTheSameBackward) {
   }
 }
 
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(MlpTest, BatchMatchesOneSampleAtATime) {
+  // A batch of B samples gives each sample's outputs and dL/dx, and the
+  // gradients of one-sample passes accumulated in sample order, bit for bit:
+  // for every tile remainder of B, with all units or one unit per sample
+  // activated, and with a NaN input component.
+  for (int samples : {1, 2, 3, 5, 8, 9, 17, 32}) {
+    for (bool read_one : {false, true}) {
+      util::Rng rng(static_cast<uint64_t>(20 + samples));
+      // Widths 3 -> 5 -> 6 -> 5 leave odd rows and odd column pairs.
+      Mlp batched(3, {{5, Activation::kTanh}, {6, Activation::kRelu},
+                      {5, Activation::kSigmoid}}, rng);
+      Mlp single = batched.Clone();
+      const size_t b = static_cast<size_t>(samples);
+      std::vector<double> x(3 * b), dy(5 * b, 0.0);
+      std::vector<int> read(b);
+      for (size_t s = 0; s < b; ++s) {
+        for (size_t i = 0; i < 3; ++i) x[i * b + s] = rng.Uniform(-1.0, 1.0);
+        read[s] = static_cast<int>(rng.UniformInt(0, 4));
+        for (size_t o = 0; o < 5; ++o) {
+          const bool live = read_one ? static_cast<int>(o) == read[s]
+                                     : rng.Bernoulli(0.6);
+          if (live) dy[o * b + s] = rng.Uniform(-1.0, 1.0);
+        }
+      }
+      if (samples > 2) x[1 * b + 2] = std::nan("");
+      Mlp::Cache cache;
+      batched.params().ZeroGrad();
+      std::vector<double> dx(x.size());
+      const std::vector<double> y =
+          batched.Forward(x, &cache, read_one ? std::span<const int>(read)
+                                              : std::span<const int>());
+      batched.Backward(x, &cache, dy, dx);
+
+      single.params().ZeroGrad();
+      for (size_t s = 0; s < b; ++s) {
+        std::vector<double> xs(3), dys(5), dxs(3);
+        for (size_t i = 0; i < 3; ++i) xs[i] = x[i * b + s];
+        for (size_t o = 0; o < 5; ++o) dys[o] = dy[o * b + s];
+        const int unit[] = {read[s]};
+        Mlp::Cache one;
+        const std::vector<double> ys = single.Forward(
+            xs, &one, read_one ? std::span<const int>(unit)
+                               : std::span<const int>());
+        single.Backward(xs, &one, dys, dxs);
+        for (size_t o = 0; o < 5; ++o) {
+          if (read_one && static_cast<int>(o) != read[s]) continue;
+          EXPECT_EQ(std::memcmp(&ys[o], &y[o * b + s], sizeof(double)), 0)
+              << "B=" << samples << " sample " << s << " output " << o;
+        }
+        for (size_t i = 0; i < 3; ++i) {
+          EXPECT_EQ(std::memcmp(&dxs[i], &dx[i * b + s], sizeof(double)), 0)
+              << "B=" << samples << " sample " << s << " input " << i;
+        }
+      }
+      const auto& a = batched.params().views();
+      const auto& c = single.params().views();
+      for (size_t v = 0; v < a.size(); ++v) {
+        EXPECT_TRUE(SameBits(*a[v].grad, *c[v].grad))
+            << "B=" << samples << " read_one=" << read_one << " tensor " << v;
+      }
+    }
+  }
+}
+
 TEST(MlpTest, ActivationHelpers) {
-  EXPECT_EQ(ActivationFromName("relu"), Activation::kRelu);
-  EXPECT_EQ(ActivationFromName("sigmoid"), Activation::kSigmoid);
-  EXPECT_EQ(ActivationFromName("tanh"), Activation::kTanh);
-  EXPECT_EQ(ActivationFromName("bogus"), Activation::kNone);
+  EXPECT_EQ(ActivationFromName("none").value(), Activation::kNone);
+  EXPECT_EQ(ActivationFromName("relu").value(), Activation::kRelu);
+  EXPECT_EQ(ActivationFromName("sigmoid").value(), Activation::kSigmoid);
+  EXPECT_EQ(ActivationFromName("tanh").value(), Activation::kTanh);
+  for (const char* bogus : {"bogus", "relux", "", "RELU"}) {
+    auto act = ActivationFromName(bogus);
+    ASSERT_FALSE(act.ok()) << bogus;
+    EXPECT_EQ(act.status().code(), util::StatusCode::kInvalidArgument);
+  }
   EXPECT_STREQ(ActivationName(Activation::kRelu), "relu");
   std::vector<double> v = {-1.0, 2.0};
   ApplyActivation(Activation::kRelu, &v);

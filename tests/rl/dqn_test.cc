@@ -7,6 +7,10 @@
 #include <new>
 #include <set>
 
+#include "data/generator.h"
+#include "rl/env.h"
+#include "similarity/dtw.h"
+
 // Counts operator new calls while a test turns counting on. Replacing the
 // global operators is test-local: only this binary links them.
 namespace {
@@ -200,6 +204,47 @@ TEST(DqnAgentTest, LearnAllocatesNothingAfterWarmUp) {
     EXPECT_EQ(g_news.load(), 0) << "double_dqn=" << double_dqn;
     EXPECT_EQ(agent.learn_steps(), 51);
   }
+}
+
+TEST(DqnAgentTest, TrainingStepAllocatesNothingOnceTheRingIsFull) {
+  // SelectAction + Step + Remember + Learn, as RlsTrainer::Train runs them,
+  // within one episode once the replay ring is full.
+  similarity::DtwMeasure dtw;
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 4, 5);
+  const geo::Trajectory* longest = &dataset.trajectories[0];
+  for (const geo::Trajectory& t : dataset.trajectories) {
+    if (t.size() > longest->size()) longest = &t;
+  }
+  SplitEnv env(&dtw, EnvOptions{});
+  DqnOptions options;
+  options.replay_capacity = 64;
+  DqnAgent agent(env.state_dim(), env.action_count(), options, 3);
+  Experience step;
+  long long counted_steps = 0;
+  long long news = 0;
+  for (int episode = 0; episode < 50 && counted_steps < 100; ++episode) {
+    env.Reset(longest->View(), dataset.trajectories[1].View());
+    while (!env.done()) {
+      const bool count = agent.replay_size() == 64 && counted_steps < 100;
+      g_news = 0;
+      g_count_news = count;
+      step.state = env.state();
+      step.action = agent.SelectAction(step.state);
+      step.reward = env.Step(step.action);
+      step.next_state = env.state();
+      step.terminal = env.done();
+      agent.Remember(step);
+      agent.Learn();
+      g_count_news = false;
+      if (count) {
+        news += g_news.load();
+        ++counted_steps;
+      }
+    }
+  }
+  ASSERT_EQ(counted_steps, 100);
+  EXPECT_EQ(news, 0);
 }
 
 TEST(DqnAgentTest, ExportPolicySnapshotIsStable) {

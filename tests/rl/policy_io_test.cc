@@ -79,6 +79,10 @@ TEST(PolicyIoTest, RejectsNetworksThatDoNotChainOrMatchTheHeader) {
       "2000000000 2000000000 sigmoid\n0.5\n",
       // A similarity transform that does not exist.
       PolicyText(0, 2, {{3, 20}, {20, 2}}, /*transform=*/7),
+      // A hidden layer whose activation is misspelt, which would otherwise
+      // load and run as a linear layer.
+      "simsub-policy-v1 0 1 0 0.1\nmlp 3 1\n3 2 relux\n"
+      "0.25 0.25 0.25 0.25 0.25 0.25 0.25 0.25\n",
   };
   for (const std::string& text : texts) {
     std::stringstream ss(text);

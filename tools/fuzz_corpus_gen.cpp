@@ -302,6 +302,10 @@ int GenPolicy(const fs::path& dir) {
   ok &= WriteText(dir / "seed-huge-layer",
                   "simsub-policy-v1 0 1 0 0.1\nmlp 3 1\n"
                   "2000000000 2000000000 sigmoid\n0.5\n");
+  // A misspelt activation, which must not load as a linear layer.
+  std::string unknown_act = PolicyText(0, 2, {{3, 20}, {20, 2}});
+  unknown_act.replace(unknown_act.find("relu"), 4, "relux");
+  ok &= WriteText(dir / "seed-unknown-activation", unknown_act);
   return ok ? 0 : 1;
 }
 
