@@ -1,6 +1,6 @@
 // Database-level serving throughput: a batch of queries through the
 // service::QueryService (persistent worker pool, planner-chosen pruning,
-// per-worker evaluator scratch) versus the same queries issued the naive
+// per-request evaluator scratch) versus the same queries issued the naive
 // way — one sequential full-scan SimSubEngine::Query(threads=1) per call,
 // the status quo before the service layer existed.
 //

@@ -32,7 +32,11 @@
 
 namespace simsub::algo {
 
-/// UCR-style fixed-length subsequence search under banded DTW.
+/// UCR-style fixed-length subsequence search under banded DTW. Search is
+/// const and keeps no pruning statistics between calls; each call reports
+/// its own in SearchResult::stats, where `candidates` counts the banded DTW
+/// runs (start offsets no lower bound pruned) and `extend_calls` counts
+/// every enumerated start offset.
 class UcrSearch : public SubtrajectorySearch {
  public:
   /// `band_fraction` is the R parameter of Figure 8.
@@ -48,13 +52,6 @@ class UcrSearch : public SubtrajectorySearch {
                         std::span<const geo::Point> query,
                         similarity::EvaluatorCache*,
                         std::optional<double>) const override;
-
- private:
-
-  /// Pruning statistics of the last... intentionally not kept: Search is
-  /// const and reusable; per-call counts are in SearchResult::stats, where
-  /// `candidates` counts non-pruned candidates (full DTW computations) and
-  /// `extend_calls` counts all enumerated start offsets.
 
  private:
   double band_fraction_;

@@ -114,8 +114,8 @@ struct QueryOptions {
   /// Number of scan partitions; > 1 runs them on the shared process pool
   /// (util::ThreadPool::Shared()). 1 scans inline on the calling thread.
   int threads = 1;
-  /// Caller-owned per-worker evaluator scratch, used by the sequential path
-  /// (parallel partitions keep their own). Null allocates a transient cache.
+  /// Caller-owned evaluator scratch, used by the sequential path (parallel
+  /// partitions keep their own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
   /// Lower-bound pruning: maintain a best-kth-distance threshold (shared
   /// atomically across scan partitions) and pass it into each

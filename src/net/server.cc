@@ -162,7 +162,7 @@ void Server::AcceptLoop() {
     // and an admitted connection never queues behind another.
     int active = active_connections_.load(std::memory_order_acquire);
     if (active >= options_.max_connections) {
-      stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+      stats_.connections_rejected.Add();
       std::vector<uint8_t> payload = EncodeError(util::Status::ResourceExhausted(
           "server at max_connections=" +
           std::to_string(options_.max_connections)));
@@ -171,7 +171,7 @@ void Server::AcceptLoop() {
       continue;
     }
     active_connections_.fetch_add(1, std::memory_order_acq_rel);
-    stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections_accepted.Add();
     (void)handler_pool_->Submit([this, conn] { HandleConnection(conn); });
   }
 }
@@ -230,7 +230,7 @@ void Server::HandleConnection(int fd) {
     if (!frame->has_value()) break;  // clean peer close
 
     if ((*frame)->type == FrameType::kStatz) {
-      stats_.statz_served.fetch_add(1, std::memory_order_relaxed);
+      stats_.statz_served.Add();
       std::string text = StatzText();
       std::span<const uint8_t> bytes(
           reinterpret_cast<const uint8_t*>(text.data()), text.size());
@@ -238,7 +238,7 @@ void Server::HandleConnection(int fd) {
       continue;
     }
     if ((*frame)->type != FrameType::kQuery) {
-      stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.malformed_frames.Add();
       std::vector<uint8_t> payload =
           EncodeError(util::Status::InvalidArgument(
               "unexpected frame type " +
@@ -249,7 +249,7 @@ void Server::HandleConnection(int fd) {
 
     auto query = DecodeQuery((*frame)->payload);
     if (!query.ok()) {
-      stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.malformed_frames.Add();
       std::vector<uint8_t> payload = EncodeError(query.status());
       (void)WriteFrame(fd, FrameType::kError, payload);
       break;
@@ -264,7 +264,7 @@ void Server::HandleConnection(int fd) {
 
     engine::QueryReport report;
     if (!AdmitQuota(query->client_id)) {
-      stats_.shed_quota.fetch_add(1, std::memory_order_relaxed);
+      stats_.shed_quota.Add();
       report = ShedReport(util::Status::ResourceExhausted(
           "client quota exceeded (" + std::to_string(options_.quota_qps) +
           " qps)"));
@@ -274,7 +274,7 @@ void Server::HandleConnection(int fd) {
       // service's dispatch queue bounded, which is what holds served-query
       // tail latency flat under overload.
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      stats_.shed_inflight.fetch_add(1, std::memory_order_relaxed);
+      stats_.shed_inflight.Add();
       report = ShedReport(util::Status::ResourceExhausted(
           "server overloaded: " + std::to_string(max_inflight) +
           " queries in flight"));
@@ -286,7 +286,7 @@ void Server::HandleConnection(int fd) {
           service_.Submit(std::move(query->spec));
       report = future.get();
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      stats_.queries_answered.fetch_add(1, std::memory_order_relaxed);
+      stats_.queries_answered.Add();
     }
 
     // Echo the query's request_id so the client can match this reply to
@@ -346,22 +346,6 @@ void Server::Stop() {
 void Server::CloseListener() {
   int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) ::close(fd);
-}
-
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.connections_accepted =
-      stats_.connections_accepted.load(std::memory_order_relaxed);
-  out.connections_rejected =
-      stats_.connections_rejected.load(std::memory_order_relaxed);
-  out.queries_answered =
-      stats_.queries_answered.load(std::memory_order_relaxed);
-  out.shed_inflight = stats_.shed_inflight.load(std::memory_order_relaxed);
-  out.shed_quota = stats_.shed_quota.load(std::memory_order_relaxed);
-  out.malformed_frames =
-      stats_.malformed_frames.load(std::memory_order_relaxed);
-  out.statz_served = stats_.statz_served.load(std::memory_order_relaxed);
-  return out;
 }
 
 std::string Server::StatzText() const {

@@ -40,6 +40,7 @@
 #include <unordered_map>
 
 #include "service/query_service.h"
+#include "util/counter.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -67,19 +68,19 @@ struct ServerOptions {
   double quota_burst = 0.0;
 };
 
-/// Cumulative server-side counters (relaxed atomics; see stats()).
+/// The server's live counters (util::Counter; stats() returns a copy).
 struct ServerStats {
-  int64_t connections_accepted = 0;
+  util::Counter connections_accepted;
   /// Accepts refused by the connection cap (ERROR frame + close).
-  int64_t connections_rejected = 0;
+  util::Counter connections_rejected;
   /// QUERY frames answered by the service (any status).
-  int64_t queries_answered = 0;
+  util::Counter queries_answered;
   /// QUERY frames shed by admission control, never reaching the service.
-  int64_t shed_inflight = 0;
-  int64_t shed_quota = 0;
+  util::Counter shed_inflight;
+  util::Counter shed_quota;
   /// Frames that failed to decode (connection is closed after an ERROR).
-  int64_t malformed_frames = 0;
-  int64_t statz_served = 0;
+  util::Counter malformed_frames;
+  util::Counter statz_served;
 };
 
 class Server {
@@ -117,7 +118,7 @@ class Server {
   /// Idempotent.
   void Stop();
 
-  ServerStats stats() const;
+  ServerStats stats() const { return stats_; }
 
   /// The plain-text "name value" stats dump served for kStatz frames:
   /// every ServerStats counter prefixed "server.", every
@@ -129,16 +130,6 @@ class Server {
   struct Bucket {
     double tokens = 0.0;
     std::chrono::steady_clock::time_point last{};
-  };
-
-  struct AtomicStats {
-    std::atomic<int64_t> connections_accepted{0};
-    std::atomic<int64_t> connections_rejected{0};
-    std::atomic<int64_t> queries_answered{0};
-    std::atomic<int64_t> shed_inflight{0};
-    std::atomic<int64_t> shed_quota{0};
-    std::atomic<int64_t> malformed_frames{0};
-    std::atomic<int64_t> statz_served{0};
   };
 
   void AcceptLoop();
@@ -167,7 +158,7 @@ class Server {
   std::unique_ptr<util::ThreadPool> accept_pool_;   // width 1
   std::unique_ptr<util::ThreadPool> handler_pool_;  // width max_connections
 
-  AtomicStats stats_;
+  ServerStats stats_;
 };
 
 }  // namespace simsub::net

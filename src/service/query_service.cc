@@ -43,63 +43,32 @@ std::string SpecKey(const QuerySpec& spec) {
   return spec.measure + buf + spec.algorithm + "|" + a.rls_policy_path;
 }
 
+/// The plans_* counter of a planner outcome.
+util::Counter& PlanCounter(ServiceStats& stats, engine::PruningFilter filter) {
+  switch (filter) {
+    case engine::PruningFilter::kRTree:
+      return stats.plans_rtree;
+    case engine::PruningFilter::kInvertedGrid:
+      return stats.plans_grid;
+    case engine::PruningFilter::kNone:
+      break;
+  }
+  return stats.plans_none;
+}
+
 }  // namespace
-
-/// Scratch for the calling thread: a pool worker uses its own slot (no
-/// locking — a worker runs one task at a time), a foreign thread leases a
-/// cache from the shared pool for the duration of the call.
-struct QueryService::ScratchLease {
-  explicit ScratchLease(QueryService& service) : service_(service) {
-    int worker = service.pool_->WorkerIndex();
-    if (worker >= 0) {
-      cache_ = &service.worker_scratch_[static_cast<size_t>(worker)];
-    } else {
-      cache_ = service.AcquireCallerScratch();
-      leased_ = true;
-    }
-  }
-  ~ScratchLease() {
-    if (leased_) service_.ReleaseCallerScratch(cache_);
-  }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  similarity::EvaluatorCache& get() { return *cache_; }
-
- private:
-  QueryService& service_;
-  similarity::EvaluatorCache* cache_ = nullptr;
-  bool leased_ = false;
-};
 
 QueryService::QueryService(engine::SimSubEngine engine, ServiceOptions options)
     : engine_(std::move(engine)),
       planner_(engine_),
-      pool_(std::make_unique<util::ThreadPool>(ResolveThreads(options.threads))),
-      worker_scratch_(static_cast<size_t>(pool_->size())) {
-  if (options.build_rtree) engine_.BuildIndex();
-  if (options.build_inverted_grid) engine_.BuildInvertedIndex();
+      pool_(std::make_unique<util::ThreadPool>(ResolveThreads(options.threads))) {
+  engine_.BuildIndex();
+  engine_.BuildInvertedIndex();
 }
 
 QueryService::QueryService(const data::CorpusSnapshot& snapshot,
                            ServiceOptions options)
     : QueryService(engine::SimSubEngine(snapshot), options) {}
-
-similarity::EvaluatorCache* QueryService::AcquireCallerScratch() {
-  util::MutexLock lock(scratch_mu_);
-  if (!caller_scratch_free_.empty()) {
-    similarity::EvaluatorCache* cache = caller_scratch_free_.back();
-    caller_scratch_free_.pop_back();
-    return cache;
-  }
-  caller_scratch_.push_back(std::make_unique<similarity::EvaluatorCache>());
-  return caller_scratch_.back().get();
-}
-
-void QueryService::ReleaseCallerScratch(similarity::EvaluatorCache* scratch) {
-  util::MutexLock lock(scratch_mu_);
-  caller_scratch_free_.push_back(scratch);
-}
 
 util::Result<std::shared_ptr<const QueryService::Resolved>>
 QueryService::ResolveSpec(const QuerySpec& spec) {
@@ -115,11 +84,11 @@ QueryService::ResolveSpec(const QuerySpec& spec) {
     util::MutexLock lock(resolved_mu_);
     auto it = resolved_.find(key);
     if (it != resolved_.end()) {
-      stats_.spec_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.spec_cache_hits.Add();
       return it->second;
     }
   }
-  stats_.spec_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  stats_.spec_cache_misses.Add();
 
   // Construct outside the lock: registry work (and a possible RLS policy
   // file read) must not serialize every dispatcher.
@@ -194,9 +163,9 @@ engine::QueryReport QueryService::ServeSpec(
   engine::QueryReport report;
   report.queue_seconds = SecondsSince(submitted, started);
   // Every refusal answers without running and counts itself in `counter`.
-  auto refuse = [&report](util::Status status, std::atomic<int64_t>& counter) {
+  auto refuse = [&report](util::Status status, util::Counter& counter) {
     report.status = std::move(status);
-    counter.fetch_add(1, std::memory_order_relaxed);
+    counter.Add();
     return report;
   };
 
@@ -247,16 +216,6 @@ engine::QueryReport QueryService::ServeSpec(
   } else if (!std::isfinite(spec.deadline_ms) || spec.deadline_ms < 0.0) {
     invalid = util::Status::InvalidArgument(
         "spec.deadline_ms must be finite and >= 0");
-  } else if (spec.filter == engine::PruningFilter::kRTree &&
-             !engine_.has_index()) {
-    invalid = util::Status::InvalidArgument(
-        "spec.filter = rtree but the service built no R-tree "
-        "(ServiceOptions::build_rtree)");
-  } else if (spec.filter == engine::PruningFilter::kInvertedGrid &&
-             !engine_.has_inverted_index()) {
-    invalid = util::Status::InvalidArgument(
-        "spec.filter = grid but the service built no inverted grid "
-        "(ServiceOptions::build_inverted_grid)");
   }
   if (!invalid.ok()) return refuse(std::move(invalid), stats_.rejected);
 
@@ -265,34 +224,36 @@ engine::QueryReport QueryService::ServeSpec(
   const Resolved& resolved = **resolution;
 
 #if SIMSUB_FAILPOINTS_COMPILED
-  // Simulates scratch-lease acquisition failure (e.g. allocation).
+  // Simulates a failure between resolution and execution (e.g. the
+  // request's scratch allocation).
   if (util::Status fp = util::FailpointFire("service.scratch"); !fp.ok()) {
     return refuse(std::move(fp), stats_.failed);
   }
 #endif
-  ScratchLease lease(*this);
+  // Request-scoped DP scratch: reused across the trajectories this request
+  // scans, shared with no other request.
+  similarity::EvaluatorCache scratch;
   const double queue_seconds = report.queue_seconds;
-  report = ExecuteSpec(spec, resolved, &lease.get(), deadline);
+  report = ExecuteSpec(spec, resolved, &scratch, deadline);
   report.queue_seconds = queue_seconds;
+  stats_.evaluator_reuses.Add(scratch.reuse_count());
+  stats_.evaluator_allocs.Add(scratch.alloc_count());
 
   switch (report.status.code()) {
     case util::StatusCode::kOk:
-      stats_.queries_served.fetch_add(1, std::memory_order_relaxed);
-      stats_.plans[static_cast<size_t>(report.filter_used)].fetch_add(
-          1, std::memory_order_relaxed);
-      stats_.lb_skipped.fetch_add(report.lb_skipped,
-                                  std::memory_order_relaxed);
-      stats_.dp_abandoned.fetch_add(report.dp_abandoned,
-                                    std::memory_order_relaxed);
+      stats_.queries_served.Add();
+      PlanCounter(stats_, report.filter_used).Add();
+      stats_.lb_skipped.Add(report.lb_skipped);
+      stats_.dp_abandoned.Add(report.dp_abandoned);
       break;
     case util::StatusCode::kCancelled:
-      stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
+      stats_.cancelled.Add();
       break;
     case util::StatusCode::kDeadlineExceeded:
-      stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+      stats_.deadline_expired.Add();
       break;
     default:
-      stats_.failed.fetch_add(1, std::memory_order_relaxed);
+      stats_.failed.Add();
       break;
   }
   return report;
@@ -321,41 +282,12 @@ std::vector<std::future<engine::QueryReport>> QueryService::SubmitBatch(
   std::vector<std::future<engine::QueryReport>> futures;
   futures.reserve(specs.size());
   for (const QuerySpec& spec : specs) futures.push_back(Submit(spec));
-  stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
+  stats_.batches_served.Add();
   return futures;
 }
 
 engine::QueryReport QueryService::RunOne(const QuerySpec& spec) {
   return ServeSpec(spec, std::chrono::steady_clock::now());
-}
-
-ServiceStats QueryService::stats() const {
-  ServiceStats out;
-  out.queries_served = stats_.queries_served.load(std::memory_order_relaxed);
-  out.batches_served = stats_.batches_served.load(std::memory_order_relaxed);
-  out.deadline_expired =
-      stats_.deadline_expired.load(std::memory_order_relaxed);
-  out.cancelled = stats_.cancelled.load(std::memory_order_relaxed);
-  out.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  out.failed = stats_.failed.load(std::memory_order_relaxed);
-  out.spec_cache_hits = stats_.spec_cache_hits.load(std::memory_order_relaxed);
-  out.spec_cache_misses =
-      stats_.spec_cache_misses.load(std::memory_order_relaxed);
-  out.plans_none = stats_.plans[0].load(std::memory_order_relaxed);
-  out.plans_rtree = stats_.plans[1].load(std::memory_order_relaxed);
-  out.plans_grid = stats_.plans[2].load(std::memory_order_relaxed);
-  out.lb_skipped = stats_.lb_skipped.load(std::memory_order_relaxed);
-  out.dp_abandoned = stats_.dp_abandoned.load(std::memory_order_relaxed);
-  for (const auto& cache : worker_scratch_) {
-    out.evaluator_reuses += cache.reuse_count();
-    out.evaluator_allocs += cache.alloc_count();
-  }
-  util::MutexLock lock(scratch_mu_);
-  for (const auto& cache : caller_scratch_) {
-    out.evaluator_reuses += cache->reuse_count();
-    out.evaluator_allocs += cache->alloc_count();
-  }
-  return out;
 }
 
 }  // namespace simsub::service

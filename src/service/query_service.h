@@ -1,16 +1,15 @@
 // The persistent serving layer over SimSubEngine: a fixed worker pool, a
 // declarative async request API (QuerySpec -> std::future<QueryReport>), a
-// batch API, per-worker reusable evaluator scratch, and per-query planning.
+// batch API, per-query planning, and live serving counters.
 //
 // SimSubEngine::Query answers one query; under database-level traffic
 // (ROADMAP north star, paper Section 6.2) the caller used to pay thread
-// spawning and DP-scratch allocation per query. QueryService amortizes all
-// of it: workers live as long as the service, each worker owns one
-// similarity::EvaluatorCache whose DP rows persist across trajectories,
-// queries, and batches, the planner picks the pruning filter per query
-// instead of hardcoding one per call site, and resolved (measure, search)
-// pairs are cached per service so a QuerySpec costs two registry lookups
-// only on its first use.
+// spawning per query. QueryService amortizes it: workers live as long as
+// the service, the planner picks the pruning filter per query instead of
+// hardcoding one per call site, and resolved (measure, search) pairs are
+// cached per service so a QuerySpec costs two registry lookups only on its
+// first use. Each executed request owns one similarity::EvaluatorCache on
+// its stack, whose DP rows persist across the trajectories it scans.
 //
 // Determinism: a SubmitBatch() over specs resolves to exactly what running
 // each spec through RunOne() sequentially returns (same entries,
@@ -22,17 +21,15 @@
 //
 // Threading contract: every public method is safe to call from multiple
 // application threads concurrently — Submit/SubmitBatch/RunOne/stats may
-// all overlap. Statistics counters are atomic (stats() is safe to read
-// during a running batch), pool workers own their scratch slot by worker
-// index, and foreign calling threads lease scratch from a mutex-guarded
-// pool. Calling RunOne from inside one of the service's own pool tasks is
-// safe: it runs inline on that worker's scratch slot. Blocking on a
-// Submit() future from inside a pool task is NOT safe (the task would wait
-// on work queued behind itself).
+// all overlap. ServiceStats is made of util::Counter fields (stats() is
+// safe to read during a running batch), and a request's scratch lives and
+// dies with the request, so no thread shares one. Calling RunOne from
+// inside one of the service's own pool tasks is safe: it runs inline on
+// that worker. Blocking on a Submit() future from inside a pool task is
+// NOT safe (the task would wait on work queued behind itself).
 #ifndef SIMSUB_SERVICE_QUERY_SERVICE_H_
 #define SIMSUB_SERVICE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -46,6 +43,7 @@
 #include "service/planner.h"
 #include "service/query_spec.h"
 #include "similarity/measure.h"
+#include "util/counter.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -58,44 +56,45 @@ namespace simsub::service {
 struct ServiceOptions {
   /// Worker pool width; 0 = hardware concurrency.
   int threads = 0;
-  /// Indexes built at construction (the planner only considers built ones).
-  bool build_rtree = true;
-  bool build_inverted_grid = true;
 };
 
-/// Cumulative serving statistics (a coherent-enough snapshot of relaxed
-/// atomic counters; safe to take while batches are running).
+/// The service's live counters, each bumped with a relaxed Add() where its
+/// event happens; stats() returns a copy. At quiescence every request that
+/// came back with a report, through Submit, SubmitBatch or RunOne, counts
+/// exactly once: queries_served + deadline_expired + cancelled + rejected +
+/// failed == reports returned.
 struct ServiceStats {
   /// Requests that executed to completion (status OK).
-  int64_t queries_served = 0;
-  int64_t batches_served = 0;
+  util::Counter queries_served;
+  util::Counter batches_served;
   /// Requests answered without running: expired in the queue, cancelled
   /// before/while running, or rejected by spec validation / the registries.
-  int64_t deadline_expired = 0;
-  int64_t cancelled = 0;
-  int64_t rejected = 0;
+  util::Counter deadline_expired;
+  util::Counter cancelled;
+  util::Counter rejected;
   /// Requests that started executing and came back with a non-OK status
   /// other than Cancelled/DeadlineExceeded (those count above).
-  int64_t failed = 0;
+  util::Counter failed;
   /// QuerySpec resolutions: cache hits vs full registry constructions.
-  int64_t spec_cache_hits = 0;
-  int64_t spec_cache_misses = 0;
-  /// Evaluator scratch reuses vs fresh allocations across all workers.
-  int64_t evaluator_reuses = 0;
-  int64_t evaluator_allocs = 0;
-  /// Queries per planner outcome, indexed by PruningFilter value.
-  int64_t plans_none = 0;
-  int64_t plans_rtree = 0;
-  int64_t plans_grid = 0;
+  util::Counter spec_cache_hits;
+  util::Counter spec_cache_misses;
+  /// Evaluator scratch reuses vs fresh allocations, summed over every
+  /// executed request's own cache.
+  util::Counter evaluator_reuses;
+  util::Counter evaluator_allocs;
+  /// Served queries per planner outcome (engine::PruningFilter).
+  util::Counter plans_none;
+  util::Counter plans_rtree;
+  util::Counter plans_grid;
   /// Cumulative lower-bound cascade counters across all served queries
   /// (see engine::QueryReport::lb_skipped / dp_abandoned).
-  int64_t lb_skipped = 0;
-  int64_t dp_abandoned = 0;
+  util::Counter lb_skipped;
+  util::Counter dp_abandoned;
 };
 
 class QueryService {
  public:
-  /// Takes ownership of the engine and builds the configured indexes.
+  /// Takes ownership of the engine and builds its R-tree and inverted grid.
   QueryService(engine::SimSubEngine engine, ServiceOptions options = {});
 
   /// Serves directly over an opened columnar snapshot (data/snapshot.h):
@@ -144,7 +143,7 @@ class QueryService {
 
   /// Snapshot of the cumulative counters. Safe to call at any time,
   /// including while batches are running on other threads.
-  ServiceStats stats() const SIMSUB_EXCLUDES(scratch_mu_);
+  ServiceStats stats() const { return stats_; }
 
   /// Number of distinct (measure, algorithm) pairs currently cached.
   size_t resolved_cache_size() const SIMSUB_EXCLUDES(resolved_mu_);
@@ -166,31 +165,15 @@ class QueryService {
     std::unique_ptr<algo::SubtrajectorySearch> search;
   };
 
-  /// Relaxed atomic twins of ServiceStats (see stats()).
-  struct AtomicStats {
-    std::atomic<int64_t> queries_served{0};
-    std::atomic<int64_t> batches_served{0};
-    std::atomic<int64_t> deadline_expired{0};
-    std::atomic<int64_t> cancelled{0};
-    std::atomic<int64_t> rejected{0};
-    std::atomic<int64_t> failed{0};
-    std::atomic<int64_t> spec_cache_hits{0};
-    std::atomic<int64_t> spec_cache_misses{0};
-    /// Indexed by PruningFilter value (none, rtree, grid).
-    std::atomic<int64_t> plans[3]{};
-    std::atomic<int64_t> lb_skipped{0};
-    std::atomic<int64_t> dp_abandoned{0};
-  };
-
   /// Validates + resolves through the per-service cache.
   [[nodiscard]] util::Result<std::shared_ptr<const Resolved>> ResolveSpec(
       const QuerySpec& spec) SIMSUB_EXCLUDES(resolved_mu_);
 
   /// The whole request lifecycle minus queueing, shared by Submit,
   /// SubmitBatch and RunOne: refusal (failpoint, cancel, queue deadline,
-  /// validation, resolution), planning and execution, and the stats count
-  /// of the outcome. `submitted` is when the request entered the service
-  /// (Submit time, or now for RunOne).
+  /// validation, resolution), planning and execution on the request's own
+  /// evaluator scratch, and the stats count of the outcome. `submitted` is
+  /// when the request entered the service (Submit time, or now for RunOne).
   engine::QueryReport ServeSpec(
       const QuerySpec& spec,
       std::chrono::steady_clock::time_point submitted);
@@ -205,35 +188,15 @@ class QueryService {
       similarity::EvaluatorCache* scratch,
       std::chrono::steady_clock::time_point deadline);
 
-  /// Scratch for the calling thread: the worker's own slot on a pool
-  /// thread, otherwise a leased cache returned by the RAII lease below.
-  similarity::EvaluatorCache* AcquireCallerScratch()
-      SIMSUB_EXCLUDES(scratch_mu_);
-  void ReleaseCallerScratch(similarity::EvaluatorCache* scratch)
-      SIMSUB_EXCLUDES(scratch_mu_);
-  struct ScratchLease;
-
   engine::SimSubEngine engine_;
   QueryPlanner planner_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// One cache per pool worker, indexed by ThreadPool::WorkerIndex(); pool
-  /// workers run one task at a time, so each slot stays single-threaded.
-  std::vector<similarity::EvaluatorCache> worker_scratch_;
-  /// Leased caches for foreign calling threads (RunOne from N dispatcher
-  /// threads at once): `caller_scratch_` owns every cache ever created
-  /// (stable addresses; also the stats() enumeration), `free_` holds the
-  /// currently leasable ones.
-  mutable util::Mutex scratch_mu_;
-  std::vector<std::unique_ptr<similarity::EvaluatorCache>> caller_scratch_
-      SIMSUB_GUARDED_BY(scratch_mu_);
-  std::vector<similarity::EvaluatorCache*> caller_scratch_free_
-      SIMSUB_GUARDED_BY(scratch_mu_);
 
   mutable util::Mutex resolved_mu_;
   std::unordered_map<std::string, std::shared_ptr<const Resolved>> resolved_
       SIMSUB_GUARDED_BY(resolved_mu_);
 
-  AtomicStats stats_;
+  ServiceStats stats_;
 };
 
 }  // namespace simsub::service

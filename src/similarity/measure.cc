@@ -44,15 +44,15 @@ PrefixEvaluator* EvaluatorCache::Acquire(const SimilarityMeasure& measure,
     if (slot.identity != measure.identity()) continue;
     // Reset() regrows DP rows but never returns their capacity; once the
     // query shrinks far below the slot's high-water mark, replace the
-    // evaluator outright so the worker's footprint tracks its workload.
+    // evaluator outright so the cache's footprint tracks its workload.
     bool oversized = query.size() * kShrinkFactor < slot.high_water;
     if (!oversized && slot.evaluator->Reset(query)) {
-      reuse_count_.fetch_add(1, std::memory_order_relaxed);
+      ++reuse_count_;
       slot.high_water = std::max(slot.high_water, query.size());
     } else {
       slot.evaluator = measure.NewEvaluator(query);
       slot.high_water = query.size();
-      alloc_count_.fetch_add(1, std::memory_order_relaxed);
+      ++alloc_count_;
     }
     // LRU refresh: move the hit to the back so the front — evicted first at
     // the cap — is always the least recently used slot, not merely the
@@ -67,7 +67,7 @@ PrefixEvaluator* EvaluatorCache::Acquire(const SimilarityMeasure& measure,
   if (slots_.size() >= kMaxSlots) slots_.erase(slots_.begin());
   slots_.push_back(
       Slot{measure.identity(), measure.NewEvaluator(query), query.size()});
-  alloc_count_.fetch_add(1, std::memory_order_relaxed);
+  ++alloc_count_;
   return slots_.back().evaluator.get();
 }
 

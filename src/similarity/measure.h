@@ -13,7 +13,6 @@
 #ifndef SIMSUB_SIMILARITY_MEASURE_H_
 #define SIMSUB_SIMILARITY_MEASURE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,8 +50,8 @@ class PrefixEvaluator {
   virtual int Length() const = 0;
 
   /// Rebinds this evaluator to a new query, reusing its allocated scratch
-  /// (DP rows etc.) instead of allocating fresh ones — the serving layer
-  /// keeps one evaluator per worker and Reset()s it per query/trajectory.
+  /// (DP rows etc.) instead of allocating fresh ones — an EvaluatorCache
+  /// keeps one evaluator per measure and Reset()s it per trajectory.
   /// After a successful Reset the evaluator behaves exactly like a freshly
   /// created one (pre-Start() state). Returns false when the implementation
   /// does not support rebinding (e.g. learned measures with per-query
@@ -144,8 +143,8 @@ class SimilarityMeasure {
   uint64_t identity_ = NextIdentity();
 };
 
-/// Per-worker cache of PrefixEvaluators, one per measure, so the DP scratch
-/// is allocated once per worker instead of once per trajectory scan.
+/// Cache of PrefixEvaluators, one per measure, so the DP scratch is
+/// allocated once per scan instead of once per trajectory.
 ///
 /// Acquire() rebinds the cached evaluator via PrefixEvaluator::Reset() when
 /// possible and falls back to SimilarityMeasure::NewEvaluator() otherwise
@@ -153,44 +152,39 @@ class SimilarityMeasure {
 /// Slots are keyed by SimilarityMeasure::identity(), never by address, so a
 /// measure freed and replaced by a new allocation at the same address (the
 /// serving layer's resolved-spec cache does exactly this when flushed) can
-/// never match the dead measure's slot. NOT thread-safe, by design rather
-/// than omission: each worker owns its own cache exclusively (the serving
-/// layer indexes by ThreadPool::WorkerIndex() or leases under a mutex — see
-/// util/thread_annotations.h for the lock-annotation conventions), so the
-/// slots deliberately carry no mutex and no SIMSUB_GUARDED_BY; adding
-/// cross-thread access here is a contract change, not a missing lock.
+/// never match the dead measure's slot. NOT thread-safe, counters included,
+/// by design rather than omission: one cache has one owner at a time (the
+/// serving layer gives each request its own on its stack, and the engine
+/// each parallel scan partition its own), so the slots deliberately carry
+/// no mutex and no SIMSUB_GUARDED_BY (see util/thread_annotations.h for
+/// the lock-annotation conventions); adding cross-thread access here is a
+/// contract change, not a missing lock.
 /// The returned pointer stays valid until the next Acquire()
 /// for the same measure, ANY Acquire() once the cache holds kMaxSlots
 /// measures (inserting a new slot then evicts the least recently used,
-/// destroying its evaluator), or the cache is destroyed. The reuse/alloc
-/// counters alone are atomic, so a monitoring thread may read them while
-/// the owning worker runs.
+/// destroying its evaluator), or the cache is destroyed.
 class EvaluatorCache {
  public:
   [[nodiscard]] PrefixEvaluator* Acquire(const SimilarityMeasure& measure,
                                          std::span<const geo::Point> query);
 
   /// Successful Reset() reuses vs fresh NewEvaluator() allocations.
-  int64_t reuse_count() const {
-    return reuse_count_.load(std::memory_order_relaxed);
-  }
-  int64_t alloc_count() const {
-    return alloc_count_.load(std::memory_order_relaxed);
-  }
+  int64_t reuse_count() const { return reuse_count_; }
+  int64_t alloc_count() const { return alloc_count_; }
 
   /// Number of distinct measures currently holding a slot.
   size_t slot_count() const { return slots_.size(); }
 
   /// Queries at least this factor smaller than the largest query a cached
   /// evaluator has served cause a fresh allocation instead of a Reset, so a
-  /// long-lived worker that once saw a huge query doesn't pin its DP-row
+  /// long-lived cache that once saw a huge query doesn't pin its DP-row
   /// capacity forever (vectors never shrink on resize).
   static constexpr size_t kShrinkFactor = 4;
 
   /// Cap on cached slots. Identity keys are never reused, so a client
   /// sweeping measure parameters (each sweep step is a new measure, hence a
-  /// new identity) would otherwise strand one dead evaluator per step in
-  /// every worker forever; at the cap the least-recently-used slot is
+  /// new identity) would otherwise strand one dead evaluator per step in a
+  /// long-lived cache forever; at the cap the least-recently-used slot is
   /// evicted instead (Acquire hits refresh recency, so a hot measure
   /// survives an interleaved sweep).
   static constexpr size_t kMaxSlots = 32;
@@ -203,8 +197,8 @@ class EvaluatorCache {
     size_t high_water = 0;
   };
   std::vector<Slot> slots_;
-  std::atomic<int64_t> reuse_count_{0};
-  std::atomic<int64_t> alloc_count_{0};
+  int64_t reuse_count_ = 0;
+  int64_t alloc_count_ = 0;
 };
 
 /// Returns an evaluator for `query`: rebound from `scratch` when a cache is

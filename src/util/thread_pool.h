@@ -9,11 +9,10 @@
 //     pending counter is incremented at Submit time.
 //   * The pool is reusable: Submit() after WaitAll() is always valid; only
 //     destruction shuts the workers down.
-//   * WorkerIndex() identifies the calling pool thread, which lets callers
-//     keep per-worker scratch (e.g. similarity::EvaluatorCache) without
-//     locking. Blocking on a future from inside a worker of the same pool
-//     can deadlock; callers that may run on pool threads should check
-//     OnWorkerThread() and execute inline instead (see SimSubEngine::Query).
+//   * WorkerIndex() identifies the calling pool thread. Blocking on a
+//     future from inside a worker of the same pool can deadlock; callers
+//     that may run on pool threads should check OnWorkerThread() and
+//     execute inline instead (see SimSubEngine::Query).
 #ifndef SIMSUB_UTIL_THREAD_POOL_H_
 #define SIMSUB_UTIL_THREAD_POOL_H_
 

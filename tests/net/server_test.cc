@@ -312,6 +312,10 @@ TEST(ServerTest, WireDeadlineOutsideTheClockRangeIsTyped) {
   server.Stop();
 }
 
+std::string StatzLine(const char* name, int64_t value) {
+  return std::string(name) + " " + std::to_string(value);
+}
+
 TEST(ServerTest, StatzTextCarriesServerAndServiceCounters) {
   service::QueryService service = MakeSlowService(/*threads=*/2, 40);
   geo::Trajectory query = SampleQuery();
@@ -323,15 +327,66 @@ TEST(ServerTest, StatzTextCarriesServerAndServiceCounters) {
   service::QuerySpec spec;
   spec.points = query.View();
   spec.k = 3;
-  ASSERT_TRUE(client->Query(spec).ok());
+  auto planned = client->Query(spec);
+  ASSERT_TRUE(planned.ok() && planned->status.ok());
+  spec.filter = engine::PruningFilter::kRTree;
+  auto rtree = client->Query(spec);
+  ASSERT_TRUE(rtree.ok() && rtree->status.ok());
+  spec.k = 0;
+  auto rejected = client->Query(spec);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected->status.code(), util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(client->Statz().ok());
 
-  auto statz = client->Statz();
-  ASSERT_TRUE(statz.ok());
-  EXPECT_NE(statz->find("server.queries_answered 1"), std::string::npos)
-      << *statz;
-  EXPECT_NE(statz->find("server.connections_accepted 1"), std::string::npos)
-      << *statz;
-  EXPECT_NE(statz->find("service."), std::string::npos) << *statz;
+  // Quiescent now: the client holds its connection open and nothing is in
+  // flight, so the dump must match the stats() structs line for line.
+  const std::string text = server.StatzText();
+  const ServerStats s = server.stats();
+  const service::ServiceStats v = service.stats();
+  const std::vector<std::string> expected = {
+      StatzLine("server.connections_accepted", s.connections_accepted),
+      StatzLine("server.connections_rejected", s.connections_rejected),
+      StatzLine("server.queries_answered", s.queries_answered),
+      StatzLine("server.shed_inflight", s.shed_inflight),
+      StatzLine("server.shed_quota", s.shed_quota),
+      StatzLine("server.malformed_frames", s.malformed_frames),
+      StatzLine("server.statz_served", s.statz_served),
+      StatzLine("server.inflight", 0),
+      StatzLine("server.connections", 1),
+      StatzLine("service.queries_served", v.queries_served),
+      StatzLine("service.batches_served", v.batches_served),
+      StatzLine("service.deadline_expired", v.deadline_expired),
+      StatzLine("service.cancelled", v.cancelled),
+      StatzLine("service.rejected", v.rejected),
+      StatzLine("service.failed", v.failed),
+      StatzLine("service.spec_cache_hits", v.spec_cache_hits),
+      StatzLine("service.spec_cache_misses", v.spec_cache_misses),
+      StatzLine("service.evaluator_reuses", v.evaluator_reuses),
+      StatzLine("service.evaluator_allocs", v.evaluator_allocs),
+      StatzLine("service.plans_none", v.plans_none),
+      StatzLine("service.plans_rtree", v.plans_rtree),
+      StatzLine("service.plans_grid", v.plans_grid),
+      StatzLine("service.lb_skipped", v.lb_skipped),
+      StatzLine("service.dp_abandoned", v.dp_abandoned),
+  };
+  std::vector<std::string> lines;
+  for (size_t begin = 0; begin < text.size();) {
+    size_t end = text.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << "unterminated line in\n" << text;
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  EXPECT_EQ(lines, expected);
+
+  // The structs themselves saw the traffic above.
+  EXPECT_EQ(s.connections_accepted, 1);
+  EXPECT_EQ(s.queries_answered, 3);
+  EXPECT_EQ(s.statz_served, 1);
+  EXPECT_EQ(v.queries_served, 2);
+  EXPECT_EQ(v.rejected, 1);
+  EXPECT_EQ(v.plans_none + v.plans_rtree + v.plans_grid, 2);
+  EXPECT_GE(v.plans_rtree, 1);
+  EXPECT_GE(v.evaluator_allocs, 2);
   server.Stop();
 }
 

@@ -1,19 +1,24 @@
 // QueryService and QueryPlanner behavior: batch/sequential equivalence,
-// planner decisions, explicit overrides, scratch reuse accounting, and
-// re-entrant RunOne from a pool task.
+// planner decisions, explicit overrides, scratch reuse accounting,
+// re-entrant RunOne from a pool task, and the outcome accounting law under
+// concurrent traffic (part of the TSan CI job).
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <limits>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
 #include "data/workload.h"
 #include "service/planner.h"
 #include "service/query_spec.h"
+#include "util/failpoint.h"
 
 namespace simsub::service {
 namespace {
@@ -106,7 +111,7 @@ TEST(QueryServiceTest, PlannedQueriesRecordDecisionInReport) {
   EXPECT_STRNE(report.plan_reason, "");
 }
 
-TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
+TEST(QueryServiceTest, ScratchIsReusedAcrossTheTrajectoriesOfARequest) {
   data::Dataset d = SmallDataset();
   auto workload = data::SampleWorkload(d, 6, 4409);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
@@ -120,14 +125,15 @@ TEST(QueryServiceTest, ScratchIsReusedAcrossQueriesAndBatches) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches_served, 2);
   EXPECT_EQ(stats.queries_served, 12);
-  // One evaluator allocation per worker cache; everything else Reset()s it.
+  // One evaluator allocation per request; every further trajectory the
+  // request scans Reset()s it.
+  EXPECT_EQ(stats.evaluator_allocs, 12);
   EXPECT_GT(stats.evaluator_reuses, stats.evaluator_allocs);
 }
 
-TEST(QueryServiceTest, RunOneFromPoolTaskRunsInlineOnThatWorkersScratchSlot) {
+TEST(QueryServiceTest, RunOneFromPoolTaskRunsInlineWithItsOwnScratch) {
   // A task on the service's own (width-1) pool calls RunOne: it runs inline
-  // on that worker, so nothing waits on work queued behind the caller, and
-  // it uses the worker's own scratch slot instead of leasing a cache.
+  // on that worker, so nothing waits on work queued behind the caller.
   QueryService service = MakeService(1);
   QuerySpec spec = ExactSpec(service.engine().database()[0].View(), 2);
   ASSERT_TRUE(service.Submit(spec).get().status.ok());
@@ -135,9 +141,9 @@ TEST(QueryServiceTest, RunOneFromPoolTaskRunsInlineOnThatWorkersScratchSlot) {
   service.pool().Submit([&] { inner = service.RunOne(spec); }).get();
   ASSERT_TRUE(inner.status.ok()) << inner.status.ToString();
   EXPECT_FALSE(inner.results.empty());
-  // The Submit above left a DTW evaluator in the worker's slot; a leased
-  // cache would have allocated a second one.
-  EXPECT_EQ(service.stats().evaluator_allocs, 1);
+  // Each request allocates its own DTW evaluator: nothing carries over from
+  // the Submit above, even on the same worker.
+  EXPECT_EQ(service.stats().evaluator_allocs, 2);
 }
 
 TEST(QueryServiceTest, StatsCountPlannerOutcomes) {
@@ -149,6 +155,79 @@ TEST(QueryServiceTest, StatsCountPlannerOutcomes) {
   EXPECT_EQ(stats.queries_served, 2);
   EXPECT_EQ(stats.plans_none + stats.plans_rtree + stats.plans_grid, 2);
   EXPECT_GE(stats.plans_rtree, 1);  // the explicit override counts as rtree
+}
+
+TEST(QueryServiceTest, ConcurrentOutcomesObeyTheAccountingLaw) {
+  // Several threads send requests through Submit, SubmitBatch and RunOne at
+  // once. At quiescence every request is counted exactly once:
+  //   queries_served + deadline_expired + cancelled + rejected + failed == N
+  constexpr int kThreads = 4;
+  QueryService service = MakeService(2);
+  const auto& db = service.engine().database();
+  const std::atomic<bool> tripped{true};
+
+  // Sends `specs` once through each entry point and waits for every answer:
+  // 3 * specs.size() requests and one batch.
+  auto send_everywhere = [&service](std::span<const QuerySpec> specs) {
+    std::vector<std::future<engine::QueryReport>> futures;
+    for (const QuerySpec& spec : specs) futures.push_back(service.Submit(spec));
+    for (auto& future : service.SubmitBatch(specs)) {
+      futures.push_back(std::move(future));
+    }
+    for (const QuerySpec& spec : specs) (void)service.RunOne(spec);
+    for (auto& future : futures) (void)future.get();
+  };
+  auto from_threads = [&](auto body) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(body, t);
+    for (auto& thread : threads) thread.join();
+  };
+
+  // Failures first, on their own: the submit failpoint fires on the first
+  // hits whatever the request, so only requests of one kind may meet it.
+  int64_t failed = 0;
+  int64_t batches = 0;
+  if (util::FailpointsCompiledIn()) {
+    failed = 3 * kThreads;
+    ASSERT_TRUE(util::SetFailpoint("service.submit",
+                                   "error@times:" + std::to_string(failed))
+                    .ok());
+    from_threads([&](int t) {
+      const QuerySpec served = ExactSpec(db[static_cast<size_t>(t)].View(), 2);
+      send_everywhere({&served, 1});
+    });
+    util::ClearFailpoints();
+    batches += kThreads;
+  }
+
+  // Then every other outcome, interleaved on each thread: two served
+  // requests, a rejection (k = 0), a cancellation (pre-tripped flag) and a
+  // queue expiry (1e-7 ms truncates to a deadline equal to submit time).
+  from_threads([&](int t) {
+    std::vector<QuerySpec> mix;
+    for (int i = 0; i < 5; ++i) {
+      mix.push_back(ExactSpec(db[static_cast<size_t>(t * 5 + i)].View(), 2));
+    }
+    mix[2].k = 0;
+    mix[3].cancel = &tripped;
+    mix[4].deadline_ms = 1e-7;
+    send_everywhere(mix);
+  });
+  batches += kThreads;
+
+  const int64_t n = failed + kThreads * 3 * 5;
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries_served, kThreads * 3 * 2);
+  EXPECT_EQ(stats.rejected, kThreads * 3);
+  EXPECT_EQ(stats.cancelled, kThreads * 3);
+  EXPECT_EQ(stats.deadline_expired, kThreads * 3);
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_EQ(stats.queries_served + stats.deadline_expired + stats.cancelled +
+                stats.rejected + stats.failed,
+            n);
+  EXPECT_EQ(stats.batches_served, batches);
+  EXPECT_EQ(stats.plans_none + stats.plans_rtree + stats.plans_grid,
+            stats.queries_served);
 }
 
 TEST(QueryServiceTest, NonFiniteQueryCoordinatesAreInvalidArgument) {

@@ -251,21 +251,6 @@ TEST(QuerySpecTest, BadSpecsAreRejectedReportsNotCrashes) {
   EXPECT_EQ(service.stats().queries_served, 0);
 }
 
-TEST(QuerySpecTest, ExplicitFilterWithoutIndexIsRejected) {
-  ServiceOptions options;
-  options.build_rtree = false;
-  options.build_inverted_grid = false;
-  QueryService service = MakeService(1, options);
-  QuerySpec spec;
-  spec.points = service.engine().database()[0].View();
-  spec.filter = engine::PruningFilter::kRTree;
-  EXPECT_EQ(service.RunOne(spec).status.code(),
-            util::StatusCode::kInvalidArgument);
-  spec.filter = engine::PruningFilter::kInvertedGrid;
-  EXPECT_EQ(service.RunOne(spec).status.code(),
-            util::StatusCode::kInvalidArgument);
-}
-
 TEST(QuerySpecTest, ResolvedSpecsAreCachedPerConfiguration) {
   data::Dataset d = SmallDataset();
   auto workload = data::SampleWorkload(d, 4, 5505);

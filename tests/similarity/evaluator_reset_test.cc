@@ -1,7 +1,6 @@
 // PrefixEvaluator::Reset must make a reused evaluator indistinguishable from
 // a freshly created one, for every builtin measure and across query-length
-// changes (grow and shrink) — the property the per-worker EvaluatorCache
-// relies on.
+// changes (grow and shrink) — the property EvaluatorCache relies on.
 #include <gtest/gtest.h>
 
 #include <vector>
