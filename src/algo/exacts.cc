@@ -1,7 +1,5 @@
 #include "algo/exacts.h"
 
-#include <memory>
-
 #include "util/logging.h"
 
 namespace simsub::algo {
@@ -19,13 +17,11 @@ ExactS::ExactS(const similarity::SimilarityMeasure* measure)
 // contract.
 SearchResult ExactS::DoSearch(std::span<const geo::Point> data,
                               std::span<const geo::Point> query,
-                              similarity::EvaluatorCache* scratch,
+                              similarity::EvaluatorCache& scratch,
                               std::optional<double> bailout) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator& eval =
-      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
+  similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   SearchResult result;
   const int n = static_cast<int>(data.size());
   ScanWindows(eval, data, 1, n, bailout, result.stats,

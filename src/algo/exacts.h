@@ -73,7 +73,7 @@ class ExactS : public SubtrajectorySearch {
   // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache* scratch,
+                        similarity::EvaluatorCache& scratch,
                         std::optional<double> bailout) const override;
 
  private:

@@ -16,7 +16,7 @@ RandomSSearch::RandomSSearch(const similarity::SimilarityMeasure* measure,
 
 SearchResult RandomSSearch::DoSearch(std::span<const geo::Point> data,
                                      std::span<const geo::Point> query,
-                                     similarity::EvaluatorCache*,
+                                     similarity::EvaluatorCache& scratch,
                                      std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
@@ -24,7 +24,7 @@ SearchResult RandomSSearch::DoSearch(std::span<const geo::Point> data,
   const int64_t total = n * (n + 1) / 2;
   SearchResult result;
   util::Rng rng(seed_);
-  auto eval = measure_->NewEvaluator(query);
+  similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   for (int s = 0; s < sample_size_; ++s) {
     // Decode a uniform draw over the triangular range index space: ranges
     // are ordered (0,0), (0,1) ... (0,n-1), (1,1), ... so start row i owns
@@ -39,10 +39,10 @@ SearchResult RandomSSearch::DoSearch(std::span<const geo::Point> data,
     }
     int64_t j = i + idx;
     // Score T[i..j] from scratch.
-    double d = eval->Start(data[static_cast<size_t>(i)]);
+    double d = eval.Start(data[static_cast<size_t>(i)]);
     ++result.stats.start_calls;
     for (int64_t k = i + 1; k <= j; ++k) {
-      d = eval->Extend(data[static_cast<size_t>(k)]);
+      d = eval.Extend(data[static_cast<size_t>(k)]);
       ++result.stats.extend_calls;
     }
     ++result.stats.candidates;

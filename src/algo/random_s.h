@@ -30,7 +30,7 @@ class RandomSSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::Search)
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache*,
+                        similarity::EvaluatorCache& scratch,
                         std::optional<double>) const override;
 
  private:

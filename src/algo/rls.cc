@@ -25,7 +25,7 @@ RlsSearch::RlsSearch(const similarity::SimilarityMeasure* measure,
 
 SearchResult RlsSearch::DoSearch(std::span<const geo::Point> data,
                                  std::span<const geo::Point> query,
-                                 similarity::EvaluatorCache*,
+                                 similarity::EvaluatorCache&,
                                  std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());

@@ -12,11 +12,7 @@
 
 #include "geo/point.h"
 #include "geo/trajectory.h"
-
-namespace simsub::similarity {
-class EvaluatorCache;
-class SimilarityMeasure;
-}  // namespace simsub::similarity
+#include "similarity/measure.h"
 
 namespace simsub::algo {
 
@@ -62,23 +58,23 @@ class SubtrajectorySearch {
   /// the dissimilarity to `query`. Both spans must be non-empty.
   SearchResult Search(std::span<const geo::Point> data,
                       std::span<const geo::Point> query) const {
-    return DoSearch(data, query, nullptr, std::nullopt);
+    return Run(data, query, nullptr, std::nullopt);
   }
 
   /// Convenience overload on whole trajectories.
   SearchResult Search(const geo::Trajectory& data,
                       const geo::Trajectory& query) const {
-    return DoSearch(data.View(), query.View(), nullptr, std::nullopt);
+    return Run(data.View(), query.View(), nullptr, std::nullopt);
   }
 
-  /// Like Search, but may reuse evaluator scratch from `scratch` (a
-  /// per-worker, single-threaded cache) instead of allocating fresh DP rows
-  /// per call. Algorithms without a cached path silently fall back to the
-  /// plain search; a null cache is equivalent to Search(data, query).
+  /// Like Search, but takes its evaluator from `scratch` (a single-threaded
+  /// cache reused across calls) instead of allocating fresh DP rows per
+  /// call. Algorithms that run no evaluator leave it untouched; a null
+  /// cache is equivalent to Search(data, query).
   SearchResult Search(std::span<const geo::Point> data,
                       std::span<const geo::Point> query,
                       similarity::EvaluatorCache* scratch) const {
-    return DoSearch(data, query, scratch, std::nullopt);
+    return Run(data, query, scratch, std::nullopt);
   }
 
   /// Pruned search: candidates provably worse than `bailout` may be skipped
@@ -94,7 +90,7 @@ class SubtrajectorySearch {
                       std::span<const geo::Point> query,
                       similarity::EvaluatorCache* scratch,
                       double bailout) const {
-    return DoSearch(data, query, scratch, bailout);
+    return Run(data, query, scratch, bailout);
   }
 
   /// The similarity measure this search evaluates candidates with, when it
@@ -109,16 +105,28 @@ class SubtrajectorySearch {
  protected:
   /// The one implementation hook (non-virtual interface: every public
   /// Search overload dispatches here, so derived classes never hide one of
-  /// them). A null `scratch` means a fresh evaluator per call (see
-  /// similarity::AcquireEvaluator). An unset `bailout` is the full search:
-  /// nothing is abandoned, so `stats` count all the work. A set one is the
-  /// bounded contract of Search(.., bailout). Algorithms without a cached
-  /// or a pruned path ignore the parameter they have no use for; evaluating
-  /// more candidates than necessary never changes the returned optimum.
+  /// them). A search takes its evaluators from `scratch`, the caller's
+  /// cache or one local to the Search call (RlsSearch's rl::SplitEnv owns
+  /// its own, and SimTra scores with Distance()). An unset `bailout` is the
+  /// full search: nothing is abandoned, so `stats` count all the work.
+  /// A set one is the bounded contract of Search(.., bailout). Algorithms
+  /// without an evaluator or a pruned path ignore the parameter they have
+  /// no use for; evaluating more candidates than necessary never changes
+  /// the returned optimum.
   virtual SearchResult DoSearch(std::span<const geo::Point> data,
                                 std::span<const geo::Point> query,
-                                similarity::EvaluatorCache* scratch,
+                                similarity::EvaluatorCache& scratch,
                                 std::optional<double> bailout) const = 0;
+
+ private:
+  SearchResult Run(std::span<const geo::Point> data,
+                   std::span<const geo::Point> query,
+                   similarity::EvaluatorCache* scratch,
+                   std::optional<double> bailout) const {
+    if (scratch != nullptr) return DoSearch(data, query, *scratch, bailout);
+    similarity::EvaluatorCache local;
+    return DoSearch(data, query, local, bailout);
+  }
 };
 
 }  // namespace simsub::algo

@@ -11,7 +11,7 @@ SimTraSearch::SimTraSearch(const similarity::SimilarityMeasure* measure)
 
 SearchResult SimTraSearch::DoSearch(std::span<const geo::Point> data,
                                     std::span<const geo::Point> query,
-                                    similarity::EvaluatorCache*,
+                                    similarity::EvaluatorCache&,
                                     std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());

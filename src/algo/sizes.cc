@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "algo/exacts.h"
 #include "util/logging.h"
@@ -22,13 +21,11 @@ SizeS::SizeS(const similarity::SimilarityMeasure* measure, int xi)
 // provably worse (see the Search(.., bailout) contract).
 SearchResult SizeS::DoSearch(std::span<const geo::Point> data,
                              std::span<const geo::Point> query,
-                             similarity::EvaluatorCache* scratch,
+                             similarity::EvaluatorCache& scratch,
                              std::optional<double> bailout) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator& eval =
-      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
+  similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   SearchResult result;
   const int n = static_cast<int>(data.size());
   const int m = static_cast<int>(query.size());

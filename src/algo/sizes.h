@@ -29,7 +29,7 @@ class SizeS : public SubtrajectorySearch {
   // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache* scratch,
+                        similarity::EvaluatorCache& scratch,
                         std::optional<double> bailout) const override;
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "util/logging.h"
@@ -23,20 +22,19 @@ PssSearch::PssSearch(const similarity::SimilarityMeasure* measure)
 // bailout-independent and exact.
 SearchResult PssSearch::DoSearch(std::span<const geo::Point> data,
                                  std::span<const geo::Point> query,
-                                 similarity::EvaluatorCache* scratch,
+                                 similarity::EvaluatorCache& scratch,
                                  std::optional<double> bailout) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  std::unique_ptr<similarity::PrefixEvaluator> owned;
-  similarity::PrefixEvaluator& eval =
-      *similarity::AcquireEvaluator(*measure_, query, scratch, &owned);
   SearchResult result;
   const int n = static_cast<int>(data.size());
 
   // Suffix distances dist(T[i..n-1]^R, Tq^R) in one backward pass
-  // (Algorithm 2, lines 2-3).
+  // (Algorithm 2, lines 2-3). The pass borrows the scratch's evaluator, so
+  // the forward one is acquired after it.
   std::vector<double> suffix =
-      similarity::ComputeSuffixDistances(*measure_, data, query);
+      similarity::ComputeSuffixDistances(*measure_, data, query, scratch);
+  similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   result.stats.start_calls += 1;
   result.stats.extend_calls += n - 1;
 
@@ -113,18 +111,18 @@ PosDSearch::PosDSearch(const similarity::SimilarityMeasure* measure, int delay)
 
 SearchResult PosDSearch::DoSearch(std::span<const geo::Point> data,
                                   std::span<const geo::Point> query,
-                                  similarity::EvaluatorCache*,
+                                  similarity::EvaluatorCache& scratch,
                                   std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
   SearchResult result;
   const int n = static_cast<int>(data.size());
-  auto eval = measure_->NewEvaluator(query);
+  similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   int h = 0;
   int i = h;
   while (i < n) {
-    double pre = (i == h) ? eval->Start(data[static_cast<size_t>(i)])
-                          : eval->Extend(data[static_cast<size_t>(i)]);
+    double pre = (i == h) ? eval.Start(data[static_cast<size_t>(i)])
+                          : eval.Extend(data[static_cast<size_t>(i)]);
     if (i == h) {
       ++result.stats.start_calls;
     } else {
@@ -141,7 +139,7 @@ SearchResult PosDSearch::DoSearch(std::span<const geo::Point> data,
       int lookahead_end = static_cast<int>(
           std::min<int64_t>(n - 1, static_cast<int64_t>(i) + delay_));
       for (int j = i + 1; j <= lookahead_end; ++j) {
-        double d = eval->Extend(data[static_cast<size_t>(j)]);
+        double d = eval.Extend(data[static_cast<size_t>(j)]);
         ++result.stats.extend_calls;
         ++result.stats.candidates;
         if (d < best_d) {

@@ -29,7 +29,7 @@ class PssSearch : public SubtrajectorySearch {
   // (see SubtrajectorySearch::DoSearch)
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache* scratch,
+                        similarity::EvaluatorCache& scratch,
                         std::optional<double> bailout) const override;
 
  private:
@@ -54,7 +54,7 @@ class PosDSearch : public SubtrajectorySearch {
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache*,
+                        similarity::EvaluatorCache& scratch,
                         std::optional<double>) const override;
 
  private:

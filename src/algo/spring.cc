@@ -20,7 +20,7 @@ SpringSearch::SpringSearch(double band_fraction)
 
 SearchResult SpringSearch::DoSearch(std::span<const geo::Point> data,
                                     std::span<const geo::Point> query,
-                                    similarity::EvaluatorCache*,
+                                    similarity::EvaluatorCache&,
                                     std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());

@@ -28,7 +28,7 @@ class SpringSearch : public SubtrajectorySearch {
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache*,
+                        similarity::EvaluatorCache&,
                         std::optional<double>) const override;
 
  private:

@@ -65,7 +65,7 @@ UcrSearch::UcrSearch(double band_fraction) : band_fraction_(band_fraction) {
 
 SearchResult UcrSearch::DoSearch(std::span<const geo::Point> data,
                                  std::span<const geo::Point> query,
-                                 similarity::EvaluatorCache*,
+                                 similarity::EvaluatorCache&,
                                  std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());

@@ -50,7 +50,7 @@ class UcrSearch : public SubtrajectorySearch {
  protected:
   SearchResult DoSearch(std::span<const geo::Point> data,
                         std::span<const geo::Point> query,
-                        similarity::EvaluatorCache*,
+                        similarity::EvaluatorCache&,
                         std::optional<double>) const override;
 
  private:

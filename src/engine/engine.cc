@@ -212,7 +212,7 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
   // One scan partition: order[first], order[first + stride], ...
   auto scan = [&](size_t first, size_t stride, TopKHeap& heap,
                   int64_t& scanned, int64_t& lb_skipped,
-                  int64_t& dp_abandoned, similarity::EvaluatorCache* scratch) {
+                  int64_t& dp_abandoned, similarity::EvaluatorCache& scratch) {
     for (size_t i = first; i < order.size(); i += stride) {
       // Cooperative cancellation between per-trajectory searches: a relaxed
       // load per candidate is noise next to even one DP row.
@@ -278,10 +278,9 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
   TopKHeap heap;
   if (sequential) {
     similarity::EvaluatorCache local_scratch;
-    similarity::EvaluatorCache* scratch =
-        options.scratch != nullptr ? options.scratch : &local_scratch;
     scan(0, 1, heap, report.trajectories_scanned, report.lb_skipped,
-         report.dp_abandoned, scratch);
+         report.dp_abandoned,
+         options.scratch != nullptr ? *options.scratch : local_scratch);
   } else {
     // One task per requested thread, each taking every workers-th entry of
     // the visit order, so every partition starts on low-bound candidates.
@@ -300,7 +299,7 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
       futures.push_back(pool.Submit([&, w] {
         similarity::EvaluatorCache worker_scratch;
         scan(w, workers, heaps[w], scanned[w], lb_skipped[w],
-             dp_abandoned[w], &worker_scratch);
+             dp_abandoned[w], worker_scratch);
       }));
     }
     // Drain every future before propagating any failure: rethrowing while
@@ -343,11 +342,11 @@ QueryReport SimSubEngine::Query(std::span<const geo::Point> query,
                                 const QueryOptions& options) const {
   return Scan(query, search.measure(), options,
               [&](const geo::Trajectory& traj, double threshold,
-                  similarity::EvaluatorCache* scratch, TopKHeap& heap) {
+                  similarity::EvaluatorCache& scratch, TopKHeap& heap) {
                 algo::SearchResult r =
                     options.prune
-                        ? search.Search(traj.View(), query, scratch, threshold)
-                        : search.Search(traj.View(), query, scratch);
+                        ? search.Search(traj.View(), query, &scratch, threshold)
+                        : search.Search(traj.View(), query, &scratch);
                 OfferEntry(heap, options.k,
                            TopKEntry{traj.id(), r.best, r.distance});
                 return r.stats.abandoned;
@@ -381,11 +380,9 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
   SIMSUB_CHECK_GE(min_size, 1);
   return Scan(query, &measure, options,
               [&](const geo::Trajectory& traj, double threshold,
-                  similarity::EvaluatorCache* scratch, TopKHeap& heap) {
-                std::unique_ptr<similarity::PrefixEvaluator> owned;
+                  similarity::EvaluatorCache& scratch, TopKHeap& heap) {
                 similarity::PrefixEvaluator& eval =
-                    *similarity::AcquireEvaluator(measure, query, scratch,
-                                                  &owned);
+                    *scratch.Acquire(measure, query);
                 // Every range goes straight into the partition's heap, whose
                 // kth distance is the cut-off once it holds k entries.
                 algo::SearchStats stats;

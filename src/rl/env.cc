@@ -24,16 +24,19 @@ void SplitEnv::Reset(std::span<const geo::Point> data,
   SIMSUB_CHECK(!query.empty());
   data_ = data;
   query_ = query;
-  prefix_eval_ = measure_->NewEvaluator(query_);
   start_calls_ = 0;
   extend_calls_ = 0;
+  // The suffix pass borrows the cache's evaluator, so it runs before the
+  // prefix evaluator is acquired.
   if (options_.use_suffix) {
-    suffix_dist_ = similarity::ComputeSuffixDistances(*measure_, data_, query_);
+    suffix_dist_ = similarity::ComputeSuffixDistances(*measure_, data_, query_,
+                                                      evaluators_);
     start_calls_ += 1;
     extend_calls_ += static_cast<int64_t>(data.size()) - 1;
   } else {
     suffix_dist_.clear();
   }
+  prefix_eval_ = evaluators_.Acquire(*measure_, query_);
   t_ = 0;
   h_ = 0;
   segment_has_skips_ = false;

@@ -10,7 +10,6 @@
 #ifndef SIMSUB_RL_ENV_H_
 #define SIMSUB_RL_ENV_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -92,7 +91,10 @@ class SplitEnv {
 
   std::span<const geo::Point> data_;
   std::span<const geo::Point> query_;
-  std::unique_ptr<similarity::PrefixEvaluator> prefix_eval_;
+  /// Serves the suffix pass and then the prefix evaluator, and keeps that
+  /// evaluator across episodes.
+  similarity::EvaluatorCache evaluators_;
+  similarity::PrefixEvaluator* prefix_eval_ = nullptr;  // from evaluators_
   std::vector<double> suffix_dist_;  // empty when !use_suffix
 
   int t_ = 0;  // index of the point being scanned

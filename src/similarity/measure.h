@@ -51,7 +51,8 @@ class PrefixEvaluator {
 
   /// Rebinds this evaluator to a new query, reusing its allocated scratch
   /// (DP rows etc.) instead of allocating fresh ones — an EvaluatorCache
-  /// keeps one evaluator per measure and Reset()s it per trajectory.
+  /// holds one evaluator and Reset()s it per trajectory while the measure
+  /// stays the same.
   /// After a successful Reset the evaluator behaves exactly like a freshly
   /// created one (pre-Start() state). Returns false when the implementation
   /// does not support rebinding (e.g. learned measures with per-query
@@ -105,10 +106,10 @@ class SimilarityMeasure {
   virtual ~SimilarityMeasure() = default;
 
   /// Process-unique identity token, minted at construction and never
-  /// reissued. Scratch caches (EvaluatorCache) key their slots by this
-  /// rather than the object address: an address can be handed to a brand-new
-  /// measure the moment this one is freed (ABA), and a slot matched on the
-  /// reused address would serve an evaluator built for the *old* measure's
+  /// reissued. EvaluatorCache keys its one slot by this rather than the
+  /// object address: an address can be handed to a brand-new measure the
+  /// moment this one is freed (ABA), and a slot matched on the reused
+  /// address would serve an evaluator built for the *old* measure's
   /// type and parameters. Copies share the source's identity — a copy is
   /// behaviorally identical (measures are immutable after construction), so
   /// evaluators cached under the source remain valid for it.
@@ -143,26 +144,26 @@ class SimilarityMeasure {
   uint64_t identity_ = NextIdentity();
 };
 
-/// Cache of PrefixEvaluators, one per measure, so the DP scratch is
-/// allocated once per scan instead of once per trajectory.
+/// The one evaluator a scan reuses, so the DP scratch is allocated once per
+/// scan instead of once per trajectory.
 ///
-/// Acquire() rebinds the cached evaluator via PrefixEvaluator::Reset() when
-/// possible and falls back to SimilarityMeasure::NewEvaluator() otherwise
-/// (first use, measure that does not support Reset, or a different measure).
-/// Slots are keyed by SimilarityMeasure::identity(), never by address, so a
-/// measure freed and replaced by a new allocation at the same address (the
-/// serving layer's resolved-spec cache does exactly this when flushed) can
-/// never match the dead measure's slot. NOT thread-safe, counters included,
-/// by design rather than omission: one cache has one owner at a time (the
-/// serving layer gives each request its own on its stack, and the engine
-/// each parallel scan partition its own), so the slots deliberately carry
-/// no mutex and no SIMSUB_GUARDED_BY (see util/thread_annotations.h for
-/// the lock-annotation conventions); adding cross-thread access here is a
-/// contract change, not a missing lock.
-/// The returned pointer stays valid until the next Acquire()
-/// for the same measure, ANY Acquire() once the cache holds kMaxSlots
-/// measures (inserting a new slot then evicts the least recently used,
-/// destroying its evaluator), or the cache is destroyed.
+/// Acquire() rebinds the held evaluator via PrefixEvaluator::Reset() when it
+/// was built for the same measure, and replaces it with
+/// SimilarityMeasure::NewEvaluator() otherwise (first use, a measure that
+/// does not support Reset, or a different measure). The slot is keyed by
+/// SimilarityMeasure::identity(), never by address, so a measure freed and
+/// replaced by a new allocation at the same address (the serving layer's
+/// resolved-spec cache does exactly this when flushed) can never match the
+/// dead measure's evaluator. NOT thread-safe, counters included, by design
+/// rather than omission: one cache has one owner at a time (the serving
+/// layer gives each request its own on its stack, the engine each parallel
+/// scan partition its own, and rl::SplitEnv owns one), so the slot
+/// deliberately carries no mutex and no SIMSUB_GUARDED_BY (see
+/// util/thread_annotations.h for the lock-annotation conventions); adding
+/// cross-thread access here is a contract change, not a missing lock.
+/// The returned pointer stays valid until the next Acquire() or the cache's
+/// destruction, so a search that needs a second evaluator (PSS's reversed
+/// suffix pass) finishes with it before acquiring the forward one.
 class EvaluatorCache {
  public:
   [[nodiscard]] PrefixEvaluator* Acquire(const SimilarityMeasure& measure,
@@ -172,50 +173,23 @@ class EvaluatorCache {
   int64_t reuse_count() const { return reuse_count_; }
   int64_t alloc_count() const { return alloc_count_; }
 
-  /// Number of distinct measures currently holding a slot.
-  size_t slot_count() const { return slots_.size(); }
-
-  /// Queries at least this factor smaller than the largest query a cached
-  /// evaluator has served cause a fresh allocation instead of a Reset, so a
-  /// long-lived cache that once saw a huge query doesn't pin its DP-row
-  /// capacity forever (vectors never shrink on resize).
-  static constexpr size_t kShrinkFactor = 4;
-
-  /// Cap on cached slots. Identity keys are never reused, so a client
-  /// sweeping measure parameters (each sweep step is a new measure, hence a
-  /// new identity) would otherwise strand one dead evaluator per step in a
-  /// long-lived cache forever; at the cap the least-recently-used slot is
-  /// evicted instead (Acquire hits refresh recency, so a hot measure
-  /// survives an interleaved sweep).
-  static constexpr size_t kMaxSlots = 32;
-
  private:
-  struct Slot {
-    uint64_t identity = 0;
-    std::unique_ptr<PrefixEvaluator> evaluator;
-    /// Largest query size the current evaluator instance has been bound to.
-    size_t high_water = 0;
-  };
-  std::vector<Slot> slots_;
+  /// Identity of the measure `evaluator_` was built by; 0 (never issued)
+  /// while the slot is empty.
+  uint64_t identity_ = 0;
+  std::unique_ptr<PrefixEvaluator> evaluator_;
   int64_t reuse_count_ = 0;
   int64_t alloc_count_ = 0;
 };
 
-/// Returns an evaluator for `query`: rebound from `scratch` when a cache is
-/// provided, otherwise freshly allocated into `*owned` (which keeps it
-/// alive for the caller's scope). The shared preamble of every
-/// scratch-optional search path.
-PrefixEvaluator* AcquireEvaluator(const SimilarityMeasure& measure,
-                                  std::span<const geo::Point> query,
-                                  EvaluatorCache* scratch,
-                                  std::unique_ptr<PrefixEvaluator>* owned);
-
 /// Computes suffix distances suffix[i] = dist(T[i..n-1]^R, Tq^R) for all i
 /// in one O(n * Phi_inc) backward pass (PSS Algorithm 2, lines 2-3; also the
-/// Θsuf component of the RL state).
+/// Θsuf component of the RL state). The reversed-query evaluator comes from
+/// `cache`, which invalidates any pointer an earlier Acquire() returned.
 std::vector<double> ComputeSuffixDistances(const SimilarityMeasure& measure,
                                            std::span<const geo::Point> data,
-                                           std::span<const geo::Point> query);
+                                           std::span<const geo::Point> query,
+                                           EvaluatorCache& cache);
 
 }  // namespace simsub::similarity
 

@@ -143,6 +143,10 @@ TEST_P(AlgorithmPropertyTest, SearchOverloadsAgreeWithThePlainSearch) {
       EXPECT_EQ(bounded.distance, plain.distance) << "bailout " << bailout;
     }
   }
+  // One evaluator serves all 18 scans: the first call allocates it and every
+  // later one (PSS's reversed suffix pass included) rebinds it. SimTra scores
+  // whole candidates with Distance() and runs no evaluator from the scratch.
+  EXPECT_EQ(scratch.alloc_count(), GetParam().algorithm == "SimTra" ? 0 : 1);
 }
 
 std::vector<Combo> AllCombos() {

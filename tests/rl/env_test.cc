@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "algo/exacts.h"
 #include "similarity/dtw.h"
 #include "util/random.h"
@@ -53,6 +56,12 @@ TEST(SplitEnvTest, ResetStartsCountersAfresh) {
   roll(reused);
   SplitEnv fresh(&kDtw, options);
   EXPECT_EQ(roll(reused), roll(fresh));
+  // The evaluators the reused env keeps across episodes give the fresh env's
+  // episode, bit for bit.
+  EXPECT_EQ(std::bit_cast<uint64_t>(reused.best_distance()),
+            std::bit_cast<uint64_t>(fresh.best_distance()));
+  EXPECT_EQ(reused.best_range(), fresh.best_range());
+  EXPECT_EQ(reused.state(), fresh.state());
 }
 
 TEST(SplitEnvTest, EpisodeTerminatesAfterAllPoints) {

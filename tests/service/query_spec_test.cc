@@ -28,8 +28,9 @@ data::Dataset SmallDataset() {
   return data::GenerateDataset(data::DatasetKind::kPorto, 30, 5501);
 }
 
-QueryService MakeService(int threads, ServiceOptions options = {}) {
+QueryService MakeService(int threads) {
   data::Dataset d = SmallDataset();
+  ServiceOptions options;
   options.threads = threads;
   return QueryService(engine::SimSubEngine(std::move(d.trajectories)),
                       options);
@@ -109,8 +110,8 @@ TEST(QuerySpecTest, ConcurrentDispatchersStayBitIdentical) {
     std::vector<std::thread> threads;
     for (int t = 0; t < dispatchers; ++t) {
       threads.emplace_back([&, t] {
-        // Interleaved slices: every dispatcher submits (and some also run
-        // inline via RunOne) to exercise the foreign-thread scratch path.
+        // Interleaved slices: the dispatchers submit concurrently, and each
+        // request runs on a pool worker with its own request-scoped scratch.
         for (size_t i = static_cast<size_t>(t); i < specs.size();
              i += static_cast<size_t>(dispatchers)) {
           futures[i] = service.Submit(specs[i]);
@@ -128,8 +129,8 @@ TEST(QuerySpecTest, ConcurrentDispatchersStayBitIdentical) {
 }
 
 TEST(QuerySpecTest, ConcurrentRunOneMatchesSubmit) {
-  // RunOne from several foreign threads at once: each must get its own
-  // leased scratch (the old single shared calling-thread slot raced here).
+  // RunOne from several foreign threads at once: each request runs inline
+  // on its caller's thread with its own request-scoped scratch.
   data::Dataset d = SmallDataset();
   auto workload = data::SampleWorkload(d, 8, 5504);
   QueryService service(engine::SimSubEngine(std::move(d.trajectories)),
@@ -283,8 +284,9 @@ TEST(QuerySpecTest, StatsAreReadableDuringARunningBatch) {
   std::vector<QuerySpec> specs = MixedSpecs(workload);
 
   auto futures = service.SubmitBatch(specs);
-  // Poll stats while workers are executing: documented safe (atomics +
-  // leased scratch); TSan verifies there is no counter race.
+  // Poll stats while workers are executing: documented safe (every counter
+  // is a util::Counter, and each request's scratch is its own); TSan
+  // verifies there is no counter race.
   int64_t last_served = 0;
   while (true) {
     ServiceStats stats = service.stats();

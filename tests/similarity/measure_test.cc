@@ -54,7 +54,8 @@ TEST(SuffixDistanceTest, MatchesDirectReversedComputation) {
   DtwMeasure dtw;
   auto data = Line({0, 3, 1, 4, 2});
   auto query = Line({1, 2});
-  auto suffix = ComputeSuffixDistances(dtw, data, query);
+  EvaluatorCache cache;
+  auto suffix = ComputeSuffixDistances(dtw, data, query, cache);
   ASSERT_EQ(suffix.size(), data.size());
   std::vector<Point> rq = geo::ReversePoints(query);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -69,7 +70,8 @@ TEST(SuffixDistanceTest, DtwSuffixEqualsForwardDistance) {
   DtwMeasure dtw;
   auto data = Line({5, 1, 4, 2, 8, 3});
   auto query = Line({2, 6, 1});
-  auto suffix = ComputeSuffixDistances(dtw, data, query);
+  EvaluatorCache cache;
+  auto suffix = ComputeSuffixDistances(dtw, data, query, cache);
   for (size_t i = 0; i < data.size(); ++i) {
     std::span<const Point> sub(&data[i], data.size() - i);
     EXPECT_NEAR(suffix[i], DtwDistance(sub, query), 1e-9);
@@ -80,7 +82,8 @@ TEST(SuffixDistanceTest, FrechetSuffixEqualsForwardDistance) {
   FrechetMeasure frechet;
   auto data = Line({5, 1, 4, 2, 8, 3});
   auto query = Line({2, 6, 1});
-  auto suffix = ComputeSuffixDistances(frechet, data, query);
+  EvaluatorCache cache;
+  auto suffix = ComputeSuffixDistances(frechet, data, query, cache);
   for (size_t i = 0; i < data.size(); ++i) {
     std::span<const Point> sub(&data[i], data.size() - i);
     EXPECT_NEAR(suffix[i], FrechetDistance(sub, query), 1e-9);

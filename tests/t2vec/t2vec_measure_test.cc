@@ -74,7 +74,9 @@ TEST(T2VecMeasureTest, SuffixDistancesAreFinite) {
   util::Rng rng(3);
   auto data = Walk(rng, 10);
   auto query = Walk(rng, 5);
-  auto suffix = similarity::ComputeSuffixDistances(*f.measure, data, query);
+  similarity::EvaluatorCache cache;
+  auto suffix =
+      similarity::ComputeSuffixDistances(*f.measure, data, query, cache);
   ASSERT_EQ(suffix.size(), data.size());
   for (double d : suffix) {
     EXPECT_TRUE(std::isfinite(d));

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: repo-specific rules the generic tools can't see.
 
-Seven rules, each encoding a contract an earlier PR established:
+Eight rules, each encoding a contract the code base relies on:
 
   thread       No std::thread (or std::jthread) object use outside
                util/thread_pool.* — all parallelism goes through the
@@ -51,6 +51,13 @@ Seven rules, each encoding a contract an earlier PR established:
                showing it came from a container we already own. An attacker
                controls every length field in a frame or snapshot header;
                an unguarded resize is a one-frame 64 MB allocation.
+
+  evaluator    No NewEvaluator() call under src/algo/, src/engine/,
+               src/rl/ or src/service/. A search, scan or RL episode takes
+               its evaluator from a similarity::EvaluatorCache (Acquire),
+               so one evaluator serves a whole scan and its DP rows are
+               reused across candidates; a direct call allocates per
+               candidate and hides from the cache's reuse/alloc counters.
 
 Scope: src/ only (tests may spawn raw threads to provoke races; benches may
 time whatever they like). Comments and string literals are stripped before
@@ -327,8 +334,30 @@ def check_decode_bounds(rel, text):
     return out
 
 
+# --- rule: evaluator --------------------------------------------------------
+
+EVALUATOR_RE = re.compile(r"\bNewEvaluator\s*\(")
+EVALUATOR_DIRS = ("src/algo/", "src/engine/", "src/rl/", "src/service/")
+
+
+def check_evaluator(rel, text):
+    posix = rel.replace(os.sep, "/")
+    if not posix.startswith(EVALUATOR_DIRS):
+        return []
+    out = []
+    for match in EVALUATOR_RE.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        out.append(finding(
+            rel, line, "evaluator",
+            "NewEvaluator() in a search, scan or RL path — take the "
+            "evaluator from a similarity::EvaluatorCache (Acquire) so one "
+            "evaluator serves the whole scan"))
+    return out
+
+
 RULES = (check_thread, check_min_list, check_determinism, check_nodiscard,
-         check_raw_io, check_decode_cast, check_decode_bounds)
+         check_raw_io, check_decode_cast, check_decode_bounds,
+         check_evaluator)
 
 
 def lint_tree(root):
@@ -420,6 +449,14 @@ void Guarded(Reader& r, std::vector<int>& v, const std::vector<int>& src) {
   v.reserve(16);              // ok: literal
   v.reserve(src.size() + 1);  // ok: derived from a container we own
 }
+"""),
+    ("evaluator", "src/algo/scan.cc", """
+double Scan(const SimilarityMeasure& m, EvaluatorCache& cache, Span q) {
+  auto fresh = m.NewEvaluator(q);  // violation: bypasses the cache
+  PrefixEvaluator& eval = *cache.Acquire(m, q);  // ok
+  return fresh->Current() + eval.Current();
+}
+// NewEvaluator( in a comment must not trip
 """),
 ]
 
