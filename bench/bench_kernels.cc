@@ -7,7 +7,9 @@
 //      dominates every DP evaluator, AoS scalar vs SoA vectorized;
 //   2. the DTW evaluator — the pre-SoA per-cell implementation (replicated
 //      below verbatim) vs the production two-pass DtwEvaluator, streaming a
-//      long trajectory through Start/Extend;
+//      long trajectory through Start/Extend; then the DTW suffix pass (PSS's
+//      and the RL state's backward pass) as that Start/Extend row chain vs
+//      BackwardPass, which fills several staggered rows per SIMD vector;
 //   3. end-to-end engine top-k — SimSubEngine::Query with
 //      QueryOptions::prune off vs on (1 thread and hardware threads),
 //      asserting the results are bit-identical and reporting the prune
@@ -40,6 +42,7 @@
 #include "engine/engine.h"
 #include "geo/simd_dispatch.h"
 #include "geo/soa.h"
+#include "geo/trajectory.h"
 #include "similarity/dtw.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -246,6 +249,45 @@ int main(int argc, char** argv) {
               "%.2fx\n",
               dtw_stream.scalar_ns, dtw_stream.soa_ns, dtw_stream.speedup());
 
+  // The suffix pass over the same trajectory and the reversed query, as
+  // ComputeSuffixDistances runs it: the Start/Extend row chain (scalar_ns)
+  // against the multi-row BackwardPass (soa_ns). Each side keeps its
+  // fastest of 5 repetitions: a quick-mode repetition takes about a
+  // millisecond, which one preemption can double.
+  RowBenchResult dtw_suffix;
+  bool suffix_identical = true;
+  {
+    std::vector<geo::Point> reversed_query = geo::ReversePoints(query);
+    auto eval = dtw.NewEvaluator(reversed_query);
+    std::vector<double> chain(traj.size()), multi(traj.size());
+    auto fastest_ns_per_cell = [&](auto&& pass) {
+      double best_s = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < 5; ++rep) {
+        util::Stopwatch timer;
+        for (int it = 0; it < stream_iters; ++it) pass();
+        best_s = std::min(best_s, timer.ElapsedSeconds());
+      }
+      return best_s * 1e9 /
+             (static_cast<double>(stream_iters) * stream_len * query_len);
+    };
+    dtw_suffix.scalar_ns = fastest_ns_per_cell([&] {
+      chain.back() = eval->Start(traj.back());
+      for (size_t i = traj.size() - 1; i-- > 0;) {
+        chain[i] = eval->Extend(traj[i]);
+      }
+      checksum += chain[0];
+    });
+    dtw_suffix.soa_ns = fastest_ns_per_cell([&] {
+      eval->BackwardPass(traj, multi);
+      checksum += multi[0];
+    });
+    suffix_identical = chain == multi;
+  }
+  std::printf("dtw suffix:   row chain %6.2f ns/cell | multi-row %6.2f "
+              "ns/cell | %.2fx | multi-row==row chain: %s\n",
+              dtw_suffix.scalar_ns, dtw_suffix.soa_ns, dtw_suffix.speedup(),
+              suffix_identical ? "yes" : "NO");
+
   // ---- Tier 3: engine top-k, pruned vs unpruned. ---------------------------
   data::Dataset dataset =
       data::GenerateDataset(data::DatasetKind::kPorto, trajectories, 4242);
@@ -362,6 +404,8 @@ int main(int argc, char** argv) {
       "\"soa_ns_per_elem\": %.3f, \"speedup\": %.3f},\n"
       "  \"dtw_extend\": {\"scalar_ns_per_cell\": %.3f, "
       "\"soa_ns_per_cell\": %.3f, \"speedup\": %.3f},\n"
+      "  \"dtw_suffix\": {\"row_chain_ns_per_cell\": %.3f, "
+      "\"multi_row_ns_per_cell\": %.3f, \"speedup\": %.3f},\n"
       "  \"engine_topk\": {\"unpruned_seconds\": %.6f, "
       "\"pruned_seconds\": %.6f, \"pruned_mt_seconds\": %.6f, "
       "\"mt_threads\": %d, \"speedup\": %.3f, \"speedup_mt\": %.3f,\n"
@@ -376,7 +420,8 @@ int main(int argc, char** argv) {
       quick ? "true" : "false", geo::ActiveIsaName(), dist_row.scalar_ns,
       dist_row.soa_ns, dist_row.speedup(), sq_row.scalar_ns, sq_row.soa_ns,
       sq_row.speedup(), dtw_stream.scalar_ns, dtw_stream.soa_ns,
-      dtw_stream.speedup(), unpruned_s, pruned_s, pruned_mt_s, hw,
+      dtw_stream.speedup(), dtw_suffix.scalar_ns, dtw_suffix.soa_ns,
+      dtw_suffix.speedup(), unpruned_s, pruned_s, pruned_mt_s, hw,
       engine_speedup, engine_speedup_mt, static_cast<long long>(lb_skipped),
       static_cast<long long>(dp_abandoned), identical ? "true" : "false",
       pruned_s, batched_s, batched_speedup, qps_per_core,
@@ -387,6 +432,11 @@ int main(int argc, char** argv) {
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: pruned top-k differs from unpruned results\n");
+    return 1;
+  }
+  if (!suffix_identical) {
+    std::fprintf(stderr,
+                 "FAIL: multi-row suffix pass differs from the row chain\n");
     return 1;
   }
   if (!batched_identical) {

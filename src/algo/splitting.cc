@@ -32,8 +32,8 @@ SearchResult PssSearch::DoSearch(std::span<const geo::Point> data,
   // Suffix distances dist(T[i..n-1]^R, Tq^R) in one backward pass
   // (Algorithm 2, lines 2-3). The pass borrows the scratch's evaluator, so
   // the forward one is acquired after it.
-  std::vector<double> suffix =
-      similarity::ComputeSuffixDistances(*measure_, data, query, scratch);
+  std::vector<double> suffix;
+  similarity::ComputeSuffixDistances(*measure_, data, query, scratch, suffix);
   similarity::PrefixEvaluator& eval = *scratch.Acquire(*measure_, query);
   result.stats.start_calls += 1;
   result.stats.extend_calls += n - 1;

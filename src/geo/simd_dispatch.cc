@@ -22,6 +22,8 @@ namespace simsub::geo {
                            size_t, double*);                                 \
   double DtwExtendRowKernel(double, double, const double*, const double*,    \
                             size_t, const double*, double*, double*);        \
+  void DtwSuffixKernel(const double*, const double*, size_t, const double*,  \
+                       const double*, size_t, double*, double*);             \
   }  // namespace ns
 
 SIMSUB_DECLARE_ISA_KERNELS(isa_baseline)
@@ -35,7 +37,7 @@ namespace {
   SoaKernels {                                                     \
     &ns::DistanceRowKernel, &ns::SquaredDistanceRowKernel,         \
         &ns::MinSquaredDistanceKernel, &ns::DtwStartRowKernel,     \
-        &ns::DtwExtendRowKernel                                    \
+        &ns::DtwExtendRowKernel, &ns::DtwSuffixKernel              \
   }
 
 constexpr SoaKernels kTables[] = {

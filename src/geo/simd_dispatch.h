@@ -84,6 +84,13 @@ struct SoaKernels {
   double (*dtw_extend_row)(double px, double py, const double* qx,
                            const double* qy, size_t n, const double* prev,
                            double* out, double* row_min);
+  /// DTW suffix pass over n data points and m query points: out[k] is the
+  /// value dtw_start_row(p[n-1]), dtw_extend_row(p[n-2]), ...,
+  /// dtw_extend_row(p[k]) returns, with several rows filled per SIMD
+  /// vector. `work` holds 3 * m + 32 doubles; requires n, m > 0.
+  void (*dtw_suffix)(const double* px, const double* py, size_t n,
+                     const double* qx, const double* qy, size_t m,
+                     double* work, double* out);
 };
 
 /// Kernel table of one tier. Always callable for tiers <= BestSupportedIsa();

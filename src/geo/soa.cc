@@ -43,4 +43,20 @@ double DtwExtendRow(const Point& p, PointsView q, const double* prev,
                                         row_min);
 }
 
+void DtwSuffix(std::span<const Point> p, PointsView q,
+               std::vector<double>& work, double* out) {
+  SIMSUB_CHECK(!p.empty());
+  SIMSUB_CHECK(!q.empty());
+  // [x of p][y of p][the kernel's 3 * m + 32 doubles: see SoaKernels].
+  const size_t n = p.size();
+  work.resize(2 * n + 3 * q.size + 32);
+  double* px = work.data();
+  double* py = px + n;
+  for (size_t k = 0; k < n; ++k) {
+    px[k] = p[k].x;
+    py[k] = p[k].y;
+  }
+  ActiveKernels().dtw_suffix(px, py, n, q.x, q.y, q.size, py + n, out);
+}
+
 }  // namespace simsub::geo

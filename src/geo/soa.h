@@ -10,7 +10,7 @@
 // -fno-math-errno precisely so sqrt can be emitted as a vector
 // instruction).
 //
-// Two usage patterns, picked per kernel by what bench_kernels measures:
+// Three usage patterns, picked per kernel by what bench_kernels measures:
 //  * throughput-bound passes with no loop-carried dependency — Hausdorff's
 //    per-point row, ERP's per-query gap row, the engine's nearest-endpoint
 //    lower bound — call the row primitives below and vectorize fully;
@@ -18,7 +18,13 @@
 //    serialized on scratch[j-1]) read the FlatPoints arrays directly with
 //    the distance computed inline: the sqrt sits off the carried min/max
 //    path and hides under it, while a separate row-fill pass would add
-//    un-hideable loads and stores.
+//    un-hideable loads and stores;
+//  * whole-matrix passes, which read no row before the last (the DTW
+//    suffix pass of PSS and the RL state), run as staggered rows: SIMD
+//    lane l holds row r0 + l one column behind lane l - 1, so the rows'
+//    chains run side by side and the sqrt runs vector-wide. A sweep that
+//    reads each row as it goes (an early-abandoning scan, a prefix whose
+//    next point depends on the last distance) stays on the row kernels.
 //
 // All row primitives are elementwise-identical to their scalar AoS
 // counterparts: out[j] is computed with exactly the arithmetic
@@ -108,6 +114,14 @@ double DtwStartRow(const Point& p, PointsView q, double* row);
 /// Requires !q.empty().
 double DtwExtendRow(const Point& p, PointsView q, const double* prev,
                     double* out, double* row_min);
+
+/// The DTW suffix pass: out[k] is what DtwStartRow(p[n-1]) and then
+/// DtwExtendRow(p[n-2]), ..., DtwExtendRow(p[k]) return, bit for bit, for
+/// every k < n = p.size(), computed several staggered rows per SIMD vector.
+/// `work` is resized to the pass's scratch (its capacity kept, so a reused
+/// buffer stops allocating). Requires !p.empty() and !q.empty().
+void DtwSuffix(std::span<const Point> p, PointsView q,
+               std::vector<double>& work, double* out);
 
 /// Scalar AoS reference implementations (kept for the kernel-equivalence
 /// tests and as the bench baseline; they mirror the pre-SoA evaluator code

@@ -29,8 +29,8 @@ void SplitEnv::Reset(std::span<const geo::Point> data,
   // The suffix pass borrows the cache's evaluator, so it runs before the
   // prefix evaluator is acquired.
   if (options_.use_suffix) {
-    suffix_dist_ = similarity::ComputeSuffixDistances(*measure_, data_, query_,
-                                                      evaluators_);
+    similarity::ComputeSuffixDistances(*measure_, data_, query_, evaluators_,
+                                       suffix_dist_);
     start_calls_ += 1;
     extend_calls_ += static_cast<int64_t>(data.size()) - 1;
   } else {

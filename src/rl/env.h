@@ -95,7 +95,9 @@ class SplitEnv {
   /// evaluator across episodes.
   similarity::EvaluatorCache evaluators_;
   similarity::PrefixEvaluator* prefix_eval_ = nullptr;  // from evaluators_
-  std::vector<double> suffix_dist_;  // empty when !use_suffix
+  /// Empty when !use_suffix; otherwise refilled by every Reset() in place,
+  /// so episodes share one buffer.
+  std::vector<double> suffix_dist_;
 
   int t_ = 0;  // index of the point being scanned
   int h_ = 0;  // start of the current segment

@@ -27,6 +27,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// non-decreasing from row to row (every cell adds a nonnegative distance
 /// to a min over previous cells), so it lower-bounds every future
 /// extension — the ExtensionLowerBound() early-abandoning hook.
+///
+/// BackwardPass (the suffix pass) reads no row until the last one, so it
+/// takes geo::DtwSuffix instead: the matrix filled in staggered rows,
+/// several per SIMD vector, each row's chain cell for cell the row kernel's.
 class DtwEvaluator : public PrefixEvaluator {
  public:
   explicit DtwEvaluator(std::span<const geo::Point> query)
@@ -70,10 +74,18 @@ class DtwEvaluator : public PrefixEvaluator {
     return true;
   }
 
+  void BackwardPass(std::span<const geo::Point> data,
+                    std::span<double> out) override {
+    SIMSUB_CHECK_EQ(out.size(), data.size());
+    geo::DtwSuffix(data, qsoa_.View(), suffix_work_, out.data());
+    length_ = 0;
+  }
+
  private:
   geo::FlatPoints qsoa_;
   std::vector<double> row_;
   std::vector<double> scratch_;
+  std::vector<double> suffix_work_;  // geo::DtwSuffix's scratch
   double row_min_ = 0.0;
   int length_ = 0;
 };

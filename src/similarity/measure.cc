@@ -36,6 +36,17 @@ double SimilarityMeasure::Distance(std::span<const geo::Point> a,
   return eval->Current();
 }
 
+void PrefixEvaluator::BackwardPass(std::span<const geo::Point> data,
+                                   std::span<double> out) {
+  SIMSUB_CHECK(!data.empty());
+  SIMSUB_CHECK_EQ(out.size(), data.size());
+  const size_t n = data.size();
+  out[n - 1] = Start(data[n - 1]);
+  for (size_t k = n - 1; k-- > 0;) {
+    out[k] = Extend(data[k]);
+  }
+}
+
 PrefixEvaluator* EvaluatorCache::Acquire(const SimilarityMeasure& measure,
                                          std::span<const geo::Point> query) {
   SIMSUB_CHECK(!query.empty());
@@ -49,23 +60,19 @@ PrefixEvaluator* EvaluatorCache::Acquire(const SimilarityMeasure& measure,
   return evaluator_.get();
 }
 
-std::vector<double> ComputeSuffixDistances(const SimilarityMeasure& measure,
-                                           std::span<const geo::Point> data,
-                                           std::span<const geo::Point> query,
-                                           EvaluatorCache& cache) {
+void ComputeSuffixDistances(const SimilarityMeasure& measure,
+                            std::span<const geo::Point> data,
+                            std::span<const geo::Point> query,
+                            EvaluatorCache& cache,
+                            std::vector<double>& suffix) {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  const size_t n = data.size();
   std::vector<geo::Point> reversed_query = geo::ReversePoints(query);
   PrefixEvaluator& eval = *cache.Acquire(measure, reversed_query);
-  std::vector<double> suffix(n);
+  suffix.resize(data.size());
   // T[n-1..n-1]^R is the single last point; extending with p_{n-2}, ...
   // builds T[i..n-1]^R = <p_{n-1}, ..., p_i> one prepended point at a time.
-  suffix[n - 1] = eval.Start(data[n - 1]);
-  for (size_t k = n - 1; k-- > 0;) {
-    suffix[k] = eval.Extend(data[k]);
-  }
-  return suffix;
+  eval.BackwardPass(data, suffix);
 }
 
 }  // namespace simsub::similarity

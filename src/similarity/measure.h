@@ -72,6 +72,16 @@ class PrefixEvaluator {
   /// disables abandonment (e.g. LCSS, whose normalized distance can shrink
   /// as the subtrajectory grows).
   virtual double ExtensionLowerBound() const { return 0.0; }
+
+  /// Runs Start(data[n-1]), Extend(data[n-2]), ..., Extend(data[0]) and
+  /// writes the distance after adding data[k] to out[k], where n =
+  /// data.size() = out.size() > 0: the backward pass behind the suffix
+  /// distances, with no early exit. The default body is that loop; an
+  /// override (DTW fills several rows of its DP matrix at once) must match
+  /// it bit for bit. Afterwards the evaluator's state is unspecified until
+  /// the next Start() or Reset().
+  virtual void BackwardPass(std::span<const geo::Point> data,
+                            std::span<double> out);
 };
 
 /// How per-point distances aggregate into the measure's value — the trait
@@ -184,12 +194,15 @@ class EvaluatorCache {
 
 /// Computes suffix distances suffix[i] = dist(T[i..n-1]^R, Tq^R) for all i
 /// in one O(n * Phi_inc) backward pass (PSS Algorithm 2, lines 2-3; also the
-/// Θsuf component of the RL state). The reversed-query evaluator comes from
-/// `cache`, which invalidates any pointer an earlier Acquire() returned.
-std::vector<double> ComputeSuffixDistances(const SimilarityMeasure& measure,
-                                           std::span<const geo::Point> data,
-                                           std::span<const geo::Point> query,
-                                           EvaluatorCache& cache);
+/// Θsuf component of the RL state). `suffix` is resized to n, its capacity
+/// kept, so a caller that reuses it allocates nothing for it. The
+/// reversed-query evaluator comes from `cache`, which invalidates any
+/// pointer an earlier Acquire() returned.
+void ComputeSuffixDistances(const SimilarityMeasure& measure,
+                            std::span<const geo::Point> data,
+                            std::span<const geo::Point> query,
+                            EvaluatorCache& cache,
+                            std::vector<double>& suffix);
 
 }  // namespace simsub::similarity
 

@@ -1,6 +1,6 @@
 // The runtime ISA dispatch contract (geo/simd_dispatch.h): every tier the
 // CPU supports — baseline, AVX2, AVX-512 — must be BIT-IDENTICAL on all
-// five kernels, the tier ladder must clamp overrides to what the CPU
+// six kernels, the tier ladder must clamp overrides to what the CPU
 // supports, and the public soa.h wrappers must route through the active
 // tier. Every EXPECT_EQ on a double below is an exact comparison on
 // purpose: the CI isa-matrix leg runs the whole test suite under each
@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "geo/simd_dispatch.h"
 #include "geo/soa.h"
+#include "geo/trajectory.h"
 #include "util/random.h"
 
 namespace simsub::geo {
@@ -142,6 +146,89 @@ TEST(SimdDispatchTest, DtwRowsBitIdenticalAcrossTiers) {
   }
 }
 
+// The DTW suffix kernel fills several staggered rows per SIMD vector; each
+// row must still be the row chain it stands for. Every tier is compared by
+// memcmp against the baseline tier and against dtw_start_row(p[n-1]),
+// dtw_extend_row(p[n-2]), ..., dtw_extend_row(p[0]) over the reversed query,
+// for every n and m in 1..17 plus 33 and 128 (every strip remainder) and
+// five inputs: random points; duplicate points (zero distances);
+// coordinates of +-1e154 (squared distances overflow to +inf); one NaN
+// coordinate, whose NaN row or column reaches column 0 as `up` (computed
+// as up + d, never as a min over padding); and one data point and one
+// query point at x = +inf, which meet in a single NaN cell (inf - inf)
+// among finite and infinite ones. Only there does a min see a NaN next to
+// a number, so that case pins std::min's operand order: a NaN in its
+// first operand wins, one in its second loses.
+TEST(SimdDispatchTest, DtwSuffixMatchesRowChainOnEveryTier) {
+  util::Rng rng(14);
+  std::vector<int> sizes;
+  for (int size = 1; size <= 17; ++size) sizes.push_back(size);
+  sizes.push_back(33);
+  sizes.push_back(128);
+  const SoaKernels& b = KernelsFor(IsaTier::kBaseline);
+  for (int variant = 0; variant < 5; ++variant) {
+    for (int n : sizes) {
+      for (int m : sizes) {
+        std::vector<Point> data = RandomPoints(rng, n, 500.0);
+        std::vector<Point> query = RandomPoints(rng, m, 500.0);
+        auto any = [&rng](const std::vector<Point>& v) {
+          return static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(v.size()) - 1));
+        };
+        if (variant == 1) {
+          for (Point& p : data) p = query[any(query)];
+        } else if (variant == 2) {
+          data[any(data)] = Point(1e154, -1e154);
+          query[any(query)] = Point(-1e154, 1e154);
+        } else if (variant == 3) {
+          if (rng.Bernoulli(0.5)) {
+            data[any(data)].x = std::nan("");
+          } else {
+            query[any(query)].y = std::nan("");
+          }
+        } else if (variant == 4) {
+          data[any(data)].x = std::numeric_limits<double>::infinity();
+          query[any(query)].x = std::numeric_limits<double>::infinity();
+        }
+        const std::string where = "variant=" + std::to_string(variant) +
+                                  " n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m);
+        FlatPoints p(data);
+        FlatPoints rq(ReversePoints(query));
+        const PointsView d = p.View();
+        const PointsView q = rq.View();
+        const size_t rows = data.size();
+        const size_t cols = q.size;
+        std::vector<double> chain(rows), prev(cols), next(cols);
+        chain[rows - 1] = b.dtw_start_row(d.x[rows - 1], d.y[rows - 1], q.x,
+                                          q.y, cols, prev.data());
+        for (size_t k = rows - 1; k-- > 0;) {
+          double row_min = 0.0;
+          chain[k] = b.dtw_extend_row(d.x[k], d.y[k], q.x, q.y, cols,
+                                      prev.data(), next.data(), &row_min);
+          prev.swap(next);
+        }
+        std::vector<double> work(3 * cols + 32);
+        std::vector<double> base(rows);
+        b.dtw_suffix(d.x, d.y, rows, q.x, q.y, cols, work.data(), base.data());
+        EXPECT_EQ(std::memcmp(base.data(), chain.data(),
+                              rows * sizeof(double)),
+                  0)
+            << "baseline vs row chain, " << where;
+        for (IsaTier tier : SupportedTiers()) {
+          std::vector<double> got(rows);
+          KernelsFor(tier).dtw_suffix(d.x, d.y, rows, q.x, q.y, cols,
+                                      work.data(), got.data());
+          EXPECT_EQ(std::memcmp(got.data(), base.data(),
+                                rows * sizeof(double)),
+                    0)
+              << IsaTierName(tier) << " vs baseline, " << where;
+        }
+      }
+    }
+  }
+}
+
 // The public soa.h wrappers must produce exactly the active tier's values
 // (i.e. they actually route through the dispatch table).
 TEST(SimdDispatchTest, WrappersMatchActiveTier) {
@@ -169,6 +256,17 @@ TEST(SimdDispatchTest, WrappersMatchActiveTier) {
                                         prev.data(), want.data(), &want_min));
   EXPECT_EQ(got_min, want_min);
   for (size_t j = 0; j < q.size(); ++j) EXPECT_EQ(out[j], want[j]);
+  std::vector<Point> data = RandomPoints(rng, 23, 800.0);
+  FlatPoints data_soa(data);
+  std::vector<double> work;
+  std::vector<double> suffix(data.size()), want_suffix(data.size());
+  DtwSuffix(data, v, work, suffix.data());
+  std::vector<double> kernel_work(3 * q.size() + 32);
+  active.dtw_suffix(data_soa.View().x, data_soa.View().y, data.size(), v.x,
+                    v.y, v.size, kernel_work.data(), want_suffix.data());
+  EXPECT_EQ(std::memcmp(suffix.data(), want_suffix.data(),
+                        suffix.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -2,12 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "algo/exacts.h"
 #include "similarity/dtw.h"
 #include "util/random.h"
+
+// Counts operator new calls while a test turns counting on. Replacing the
+// global operators is test-local: only this binary links them.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<long long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC 12 would otherwise see std::free() applied to a pointer
+// from operator new and warn (-Wmismatched-new-delete), though the two
+// replacements here pair malloc with free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace simsub::rl {
 namespace {
@@ -62,6 +87,23 @@ TEST(SplitEnvTest, ResetStartsCountersAfresh) {
             std::bit_cast<uint64_t>(fresh.best_distance()));
   EXPECT_EQ(reused.best_range(), fresh.best_range());
   EXPECT_EQ(reused.state(), fresh.state());
+}
+
+// A warm Reset reuses the env's evaluator, its suffix-pass scratch and the
+// suffix buffer, so on a DTW pair it allocates once: the reversed copy of
+// the query the suffix pass is evaluated against.
+TEST(SplitEnvTest, WarmResetAllocatesOnlyTheReversedQuery) {
+  util::Rng rng(21);
+  std::vector<Point> data, query;
+  for (int i = 0; i < 60; ++i) data.emplace_back(rng.Uniform(), rng.Uniform());
+  for (int i = 0; i < 40; ++i) query.emplace_back(rng.Uniform(), rng.Uniform());
+  SplitEnv env(&kDtw, EnvOptions{});
+  env.Reset(data, query);  // warm-up: sizes the env's buffers
+  g_news = 0;
+  g_count_news = true;
+  env.Reset(data, query);
+  g_count_news = false;
+  EXPECT_EQ(g_news.load(), 1);
 }
 
 TEST(SplitEnvTest, EpisodeTerminatesAfterAllPoints) {

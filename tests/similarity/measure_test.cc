@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "similarity/dtw.h"
 #include "similarity/frechet.h"
 #include "similarity/registry.h"
+#include "util/random.h"
 
 namespace simsub::similarity {
 namespace {
@@ -55,7 +59,8 @@ TEST(SuffixDistanceTest, MatchesDirectReversedComputation) {
   auto data = Line({0, 3, 1, 4, 2});
   auto query = Line({1, 2});
   EvaluatorCache cache;
-  auto suffix = ComputeSuffixDistances(dtw, data, query, cache);
+  std::vector<double> suffix;
+  ComputeSuffixDistances(dtw, data, query, cache, suffix);
   ASSERT_EQ(suffix.size(), data.size());
   std::vector<Point> rq = geo::ReversePoints(query);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -71,7 +76,8 @@ TEST(SuffixDistanceTest, DtwSuffixEqualsForwardDistance) {
   auto data = Line({5, 1, 4, 2, 8, 3});
   auto query = Line({2, 6, 1});
   EvaluatorCache cache;
-  auto suffix = ComputeSuffixDistances(dtw, data, query, cache);
+  std::vector<double> suffix;
+  ComputeSuffixDistances(dtw, data, query, cache, suffix);
   for (size_t i = 0; i < data.size(); ++i) {
     std::span<const Point> sub(&data[i], data.size() - i);
     EXPECT_NEAR(suffix[i], DtwDistance(sub, query), 1e-9);
@@ -83,10 +89,73 @@ TEST(SuffixDistanceTest, FrechetSuffixEqualsForwardDistance) {
   auto data = Line({5, 1, 4, 2, 8, 3});
   auto query = Line({2, 6, 1});
   EvaluatorCache cache;
-  auto suffix = ComputeSuffixDistances(frechet, data, query, cache);
+  std::vector<double> suffix;
+  ComputeSuffixDistances(frechet, data, query, cache, suffix);
   for (size_t i = 0; i < data.size(); ++i) {
     std::span<const Point> sub(&data[i], data.size() - i);
     EXPECT_NEAR(suffix[i], FrechetDistance(sub, query), 1e-9);
+  }
+}
+
+std::vector<Point> RandomPoints(util::Rng& rng, int n) {
+  std::vector<Point> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.emplace_back(rng.Uniform(-50.0, 50.0), rng.Uniform(-50.0, 50.0));
+  }
+  return pts;
+}
+
+// BackwardPass stands for the Start/Extend chain, bit for bit, for every
+// builtin measure: DTW's override (several DP rows per SIMD vector) and the
+// default loop alike. The evaluator has run another chain first, and Start()
+// works as usual after the pass.
+TEST(SuffixDistanceTest, BackwardPassMatchesStartExtendChain) {
+  util::Rng rng(31);
+  for (const std::string& name : BuiltinMeasureNames()) {
+    auto measure = MakeMeasure(name);
+    ASSERT_TRUE(measure.ok()) << name;
+    for (int n : {1, 2, 7, 9, 17, 40}) {
+      for (int m : {1, 3, 8, 17}) {
+        std::vector<Point> data = RandomPoints(rng, n);
+        std::vector<Point> query = RandomPoints(rng, m);
+        auto chain = (*measure)->NewEvaluator(query);
+        std::vector<double> want(static_cast<size_t>(n));
+        want.back() = chain->Start(data.back());
+        for (size_t k = data.size() - 1; k-- > 0;) {
+          want[k] = chain->Extend(data[k]);
+        }
+        auto eval = (*measure)->NewEvaluator(query);
+        eval->Start(data[0]);
+        eval->Extend(data.back());
+        std::vector<double> got(static_cast<size_t>(n));
+        eval->BackwardPass(data, got);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << name << " n=" << n << " m=" << m;
+        EXPECT_EQ(eval->Start(data[0]), chain->Start(data[0]))
+            << name << " n=" << n << " m=" << m;
+        EXPECT_EQ(eval->Length(), 1) << name;
+      }
+    }
+  }
+}
+
+// A reused suffix buffer is resized to each trajectory: longer, shorter.
+TEST(SuffixDistanceTest, ReusedBufferTakesEachTrajectorysLength) {
+  DtwMeasure dtw;
+  util::Rng rng(32);
+  std::vector<Point> query = RandomPoints(rng, 6);
+  EvaluatorCache cache;
+  std::vector<double> suffix;
+  for (int n : {30, 4, 11}) {
+    std::vector<Point> data = RandomPoints(rng, n);
+    ComputeSuffixDistances(dtw, data, query, cache, suffix);
+    ASSERT_EQ(suffix.size(), data.size());
+    for (size_t i = 0; i < data.size(); ++i) {
+      std::span<const Point> sub(&data[i], data.size() - i);
+      EXPECT_NEAR(suffix[i], DtwDistance(sub, query), 1e-9) << "n=" << n;
+    }
   }
 }
 

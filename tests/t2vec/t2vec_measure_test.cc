@@ -75,8 +75,8 @@ TEST(T2VecMeasureTest, SuffixDistancesAreFinite) {
   auto data = Walk(rng, 10);
   auto query = Walk(rng, 5);
   similarity::EvaluatorCache cache;
-  auto suffix =
-      similarity::ComputeSuffixDistances(*f.measure, data, query, cache);
+  std::vector<double> suffix;
+  similarity::ComputeSuffixDistances(*f.measure, data, query, cache, suffix);
   ASSERT_EQ(suffix.size(), data.size());
   for (double d : suffix) {
     EXPECT_TRUE(std::isfinite(d));

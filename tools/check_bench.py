@@ -64,6 +64,7 @@ SUITES = {
             (("squared_distance_row", "speedup"),
              "squared distance row SoA speedup"),
             (("dtw_extend", "speedup"), "DTW extend SoA speedup"),
+            (("dtw_suffix", "speedup"), "DTW suffix multi-row speedup"),
             (("engine_topk", "speedup"), "engine top-k pruning speedup"),
             # batched/sequential seconds from the same run, i.e. the
             # batched-vs-one-at-a-time qps-per-core ratio — portable across
