@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
+#include <condition_variable>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "algo/exacts.h"
 #include "algo/lower_bounds.h"
 #include "data/snapshot.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -47,6 +49,205 @@ std::vector<TopKEntry> ExtractAscending(TopKHeap& heap) {
   }
   return out;
 }
+
+/// Window slots per participant: how far a participant may search ahead of
+/// the oldest uncommitted candidate.
+constexpr size_t kLookaheadPerParticipant = 8;
+
+/// Admission of pool helpers into one running scan. Heap-held and shared
+/// with every helper task, so a helper that a busy pool dequeues after the
+/// scan has returned finds the gate closed and touches nothing else.
+class HelperGate {
+ public:
+  /// Counts a helper task about to be submitted.
+  void Queue() { queued_.fetch_add(1, std::memory_order_relaxed); }
+  /// Helper tasks submitted and not yet dequeued.
+  int queued() const { return queued_.load(std::memory_order_relaxed); }
+
+  /// Called by a dequeued helper: joins and returns true while the scan is
+  /// open.
+  bool Enter() SIMSUB_EXCLUDES(mu_) {
+    queued_.fetch_sub(1, std::memory_order_relaxed);
+    util::MutexLock lock(mu_);
+    if (!open_) return false;
+    ++joined_;
+    return true;
+  }
+  void Leave() SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (--joined_ == 0) left_.notify_all();
+  }
+  /// Refuses every later helper and waits until the joined ones have left.
+  void CloseAndWait() SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    open_ = false;
+    while (joined_ > 0) left_.wait(mu_);
+  }
+
+ private:
+  std::atomic<int> queued_{0};
+  util::Mutex mu_;
+  std::condition_variable_any left_;
+  bool open_ SIMSUB_GUARDED_BY(mu_) = true;
+  int joined_ SIMSUB_GUARDED_BY(mu_) = 0;
+};
+
+/// The participants' shared state of one scan: a cursor handing out the
+/// visit order, and an in-order commit of the searched candidates. The
+/// commit applies the best-first stop (the next bound above the committed
+/// best-kth distance) and the top-k offers exactly as one thread does, so
+/// the results and every counter but dp_abandoned are independent of who
+/// searched what.
+///
+/// The committed heap is written only by whoever holds the commit head: the
+/// participant that took the candidate next to commit (it searches straight
+/// into the heap), or a participant committing finished candidates under
+/// `mu_`. The two never overlap, since a finished candidate waits in its
+/// window slot until the head is committed. A slot's heap is written by the
+/// participant that took its candidate until it marks the slot ready.
+class ScanCursor {
+ public:
+  /// One participant's state and its current candidate.
+  struct Participant {
+    bool helper = false;
+    size_t index = 0;          // position of the candidate in visit order
+    double threshold = 0.0;    // committed best-kth distance when taken
+    TopKHeap* heap = nullptr;  // the committed heap or the candidate's slot
+    bool at_head = false;      // `heap` is the committed heap
+  };
+
+  /// `window` slots bound the search-ahead; 0 allows only the head (one
+  /// participant). An empty `order` is finished from the start.
+  ScanCursor(std::span<const std::pair<double, int64_t>> order, int k,
+             bool prune, size_t window)
+      : order_(order), k_(k), prune_(prune), window_(window),
+        end_(order.size()), finished_(order.empty()) {}
+
+  /// Takes the next candidate in visit order. Returns false when `p` should
+  /// leave: the scan is over, or `p` is a helper and `yield` is set, the
+  /// window is full or nothing is left to take. The caller instead waits
+  /// for the head to move.
+  bool Take(Participant& p, bool yield) SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    for (;;) {
+      if (finished_ || (p.helper && yield)) return false;
+      const size_t i = next_;
+      if (i < end_ && (i == committed_ || i - committed_ < window_.size())) {
+        if (order_[i].first > threshold_) {
+          // The threshold only falls, so the scan stops at i or before it.
+          end_ = i;
+          AdvanceLocked();
+          continue;
+        }
+        ++next_;
+        p.index = i;
+        p.threshold = threshold_;
+        p.at_head = i == committed_;
+        p.heap = p.at_head ? &heap_ : &window_[i % window_.size()].heap;
+        return true;
+      }
+      if (p.helper) return false;
+      advanced_.wait(mu_);
+    }
+  }
+
+  /// Hands in `p`'s searched candidate and commits every finished one at
+  /// the head.
+  void Publish(const Participant& p, int64_t abandoned) SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (p.at_head) {
+      CommitLocked(abandoned);
+    } else {
+      Slot& slot = window_[p.index % window_.size()];
+      slot.abandoned = abandoned;
+      slot.ready = true;
+    }
+    AdvanceLocked();
+  }
+
+  /// Ends the scan early (cancellation, deadline, or `error` when set):
+  /// nothing more is taken and the committed heap is kept.
+  void Abort(std::exception_ptr error) SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (error_ == nullptr) error_ = std::move(error);
+    finished_ = true;
+    advanced_.notify_all();
+  }
+
+  /// Fills the report once every participant has left; rethrows the first
+  /// participant's exception.
+  void Finish(QueryReport* report) SIMSUB_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    report->trajectories_scanned = scanned_;
+    report->lb_skipped = lb_skipped_;
+    report->dp_abandoned = dp_abandoned_;
+    report->results = ExtractAscending(heap_);
+  }
+
+ private:
+  struct Slot {
+    TopKHeap heap;
+    int64_t abandoned = 0;
+    bool ready = false;
+  };
+
+  /// Counts the head candidate, whose entries are in heap_, as searched.
+  void CommitLocked(int64_t abandoned) SIMSUB_REQUIRES(mu_) {
+    ++scanned_;
+    dp_abandoned_ += abandoned;
+    if (prune_ && static_cast<int>(heap_.size()) == k_) {
+      threshold_ = heap_.top().distance;
+    }
+    ++committed_;
+  }
+
+  /// Commits the finished candidates at the head in visit order, applying
+  /// the best-first stop to each, and finishes the scan once the head
+  /// reaches end_: a stop counts every candidate from there on as scanned
+  /// and skipped, so a completed scan scans every non-empty candidate.
+  void AdvanceLocked() SIMSUB_REQUIRES(mu_) {
+    while (!finished_ && committed_ < end_ && !window_.empty()) {
+      Slot& slot = window_[committed_ % window_.size()];
+      if (!slot.ready) break;
+      slot.ready = false;
+      if (order_[committed_].first > threshold_) {
+        end_ = committed_;
+        break;
+      }
+      for (; !slot.heap.empty(); slot.heap.pop()) {
+        OfferEntry(heap_, k_, slot.heap.top());
+      }
+      CommitLocked(slot.abandoned);
+    }
+    if (!finished_ && committed_ == end_) {
+      const auto rest = static_cast<int64_t>(order_.size() - end_);
+      scanned_ += rest;
+      lb_skipped_ += rest;
+      finished_ = true;
+    }
+    advanced_.notify_all();
+  }
+
+  const std::span<const std::pair<double, int64_t>> order_;
+  const int k_;
+  const bool prune_;
+  TopKHeap heap_;              // see the class comment
+  std::vector<Slot> window_;   // candidate i in slot i % size()
+
+  util::Mutex mu_;
+  std::condition_variable_any advanced_;  // head moved or scan finished
+  size_t next_ SIMSUB_GUARDED_BY(mu_) = 0;       // next index to take
+  size_t committed_ SIMSUB_GUARDED_BY(mu_) = 0;  // the head
+  size_t end_ SIMSUB_GUARDED_BY(mu_);            // nothing at or past it is taken
+  double threshold_ SIMSUB_GUARDED_BY(mu_) =
+      std::numeric_limits<double>::infinity();
+  bool finished_ SIMSUB_GUARDED_BY(mu_);
+  int64_t scanned_ SIMSUB_GUARDED_BY(mu_) = 0;
+  int64_t lb_skipped_ SIMSUB_GUARDED_BY(mu_) = 0;
+  int64_t dp_abandoned_ SIMSUB_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ SIMSUB_GUARDED_BY(mu_);
+};
 
 }  // namespace
 
@@ -169,20 +370,6 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
                                static_cast<int64_t>(candidates.size());
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Deadline bookkeeping: `expired` is set by whichever partition first
-  // observes the clock past options.deadline; every partition then stops at
-  // its next per-trajectory check. The clock is only read when a deadline
-  // was actually set — a steady_clock::now() per candidate is cheap next to
-  // a DP, but not free on deadline-less bulk scans.
-  const bool has_deadline =
-      options.deadline != std::chrono::steady_clock::time_point::max();
-  std::atomic<bool> expired{false};
-  // Best-kth-distance bound shared across scan partitions: monotonically
-  // tightened (CAS-min) by any worker whose local heap fills. Any candidate
-  // whose distance provably exceeds it is strictly worse than k already-
-  // found entries and can never enter the merged top-k — not even through
-  // the (distance, id, range) tie-break, which requires distance equality.
-  std::atomic<double> shared_bound{kInf};
   const similarity::DistanceAggregation agg =
       options.prune && measure != nullptr
           ? measure->aggregation()
@@ -191,9 +378,9 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
 
   // Visit order, one (lower bound, ordinal) per non-empty candidate. Best-
   // first sorts by the nearest-endpoint bound, which bounds dist(sub, query)
-  // for every subtrajectory, so a partition can stop at its first bound
-  // above the kth best (Seidl & Kriegel's optimal multi-step k-NN). Other
-  // scans keep ordinal order; their bound of -inf never stops them.
+  // for every subtrajectory, so the scan can stop at its first bound above
+  // the kth best (Seidl & Kriegel's optimal multi-step k-NN). Other scans
+  // keep ordinal order; their bound of -inf never stops them.
   std::vector<std::pair<double, int64_t>> order;
   order.reserve(candidates.size());
   for (int64_t ordinal : candidates) {
@@ -209,123 +396,101 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
   }
   if (best_first) std::sort(order.begin(), order.end());
 
-  // One scan partition: order[first], order[first + stride], ...
-  auto scan = [&](size_t first, size_t stride, TopKHeap& heap,
-                  int64_t& scanned, int64_t& lb_skipped,
-                  int64_t& dp_abandoned, similarity::EvaluatorCache& scratch) {
-    for (size_t i = first; i < order.size(); i += stride) {
-      // Cooperative cancellation between per-trajectory searches: a relaxed
-      // load per candidate is noise next to even one DP row.
-      if (options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        return;
-      }
-      // Execution-time deadline enforcement, same cadence as cancellation:
-      // an expired query stops mid-scan instead of running to completion,
-      // which is what lets the serving layer's load shedding actually bound
-      // work under overload.
-      if (has_deadline &&
-          (expired.load(std::memory_order_relaxed) ||
-           std::chrono::steady_clock::now() >= options.deadline)) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const auto [bound, ordinal] = order[i];
+  const size_t cap = std::min(static_cast<size_t>(options.threads),
+                              order.size());
+  const size_t helpers = cap > 1 ? cap - 1 : 0;
+  ScanCursor cursor(order, options.k, options.prune,
+                    helpers == 0 ? 0 : kLookaheadPerParticipant * cap);
+  // Deadline bookkeeping: `expired` is set by whichever participant first
+  // observes the clock past options.deadline. The clock is only read when
+  // a deadline was actually set — a steady_clock::now() per candidate is
+  // cheap next to a DP, but not free on deadline-less bulk scans.
+  const bool has_deadline =
+      options.deadline != std::chrono::steady_clock::time_point::max();
+  std::atomic<bool> expired{false};
+  auto interrupted = [&] {
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      return true;
+    }
+    if (has_deadline && (expired.load(std::memory_order_relaxed) ||
+                         std::chrono::steady_clock::now() >= options.deadline)) {
+      expired.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  };
 
-      double threshold = kInf;
-      if (options.prune) {
-        if (static_cast<int>(heap.size()) == options.k) {
-          threshold = heap.top().distance;
+  // Helpers queue on the pool the caller works for, else the shared one.
+  util::ThreadPool* pool = nullptr;
+  std::shared_ptr<HelperGate> gate;
+  if (helpers > 0) {
+    pool = util::ThreadPool::Current();
+    if (pool == nullptr) pool = &util::ThreadPool::Shared();
+    gate = std::make_shared<HelperGate>();
+  }
+
+  // One participant: take candidates until the scan is over. Cancellation
+  // and the deadline are checked before every candidate (a relaxed load is
+  // noise next to even one DP row), which is what lets the serving layer's
+  // load shedding bound work under overload. A helper also leaves when the
+  // pool has tasks queued besides this scan's own helpers. `on_first_take`
+  // runs once the participant holds its first candidate. Never throws: a
+  // participant's exception ends the scan and is rethrown by Finish.
+  auto participate = [&](bool helper, const auto& on_first_take) {
+    try {
+      similarity::EvaluatorCache own_scratch;
+      similarity::EvaluatorCache& scratch =
+          !helper && options.scratch != nullptr ? *options.scratch
+                                                : own_scratch;
+      ScanCursor::Participant self{helper};
+      for (bool first = true;; first = false) {
+        if (interrupted()) {
+          cursor.Abort(nullptr);
+          break;
         }
-        threshold =
-            std::min(threshold, shared_bound.load(std::memory_order_relaxed));
+        const bool yield = helper && pool->queued() > gate->queued();
+        if (!cursor.Take(self, yield)) break;
+        if (first) on_first_take();
+#if SIMSUB_FAILPOINTS_COMPILED
+        // "engine.search": fault injection per searched candidate (`throw`
+        // fails this participant's search, `delay:<ms>` slows it).
+        (void)util::FailpointFire("engine.search");
+#endif
+        const int64_t ordinal = order[self.index].second;
+        cursor.Publish(self, step(database_[static_cast<size_t>(ordinal)],
+                                  self.threshold, scratch, *self.heap));
       }
-
-      // Best-first stop: the rest of this partition has bounds at least this
-      // one, and the threshold only falls, so a strict excess here rules
-      // them all out. They count as scanned and skipped, so a completed
-      // query scans every non-empty candidate at any thread count.
-      if (bound > threshold) {
-        const auto rest =
-            static_cast<int64_t>((order.size() - i + stride - 1) / stride);
-        scanned += rest;
-        lb_skipped += rest;
-        return;
-      }
-      ++scanned;
-
-      dp_abandoned += step(database_[static_cast<size_t>(ordinal)], threshold,
-                           scratch, heap);
-
-      if (options.prune && static_cast<int>(heap.size()) == options.k) {
-        double kth = heap.top().distance;
-        double cur = shared_bound.load(std::memory_order_relaxed);
-        while (kth < cur && !shared_bound.compare_exchange_weak(
-                                cur, kth, std::memory_order_relaxed)) {
-        }
-      }
+    } catch (...) {
+      cursor.Abort(std::current_exception());
     }
   };
 
-  util::ThreadPool& pool = util::ThreadPool::Shared();
-  // Run inline when parallelism cannot pay off — and always when already on
-  // a worker of the target pool, where blocking on our own futures could
-  // deadlock (every worker waiting on tasks stuck behind it in the queue).
-  bool sequential = options.threads <= 1 ||
-                    order.size() < 2 * static_cast<size_t>(options.threads) ||
-                    pool.OnWorkerThread();
-
-  TopKHeap heap;
-  if (sequential) {
-    similarity::EvaluatorCache local_scratch;
-    scan(0, 1, heap, report.trajectories_scanned, report.lb_skipped,
-         report.dp_abandoned,
-         options.scratch != nullptr ? *options.scratch : local_scratch);
-  } else {
-    // One task per requested thread, each taking every workers-th entry of
-    // the visit order, so every partition starts on low-bound candidates.
-    // Each task keeps a local top-k heap and evaluator scratch, merged
-    // after the futures resolve. The per-trajectory search objects must be
-    // thread-compatible — every algorithm is (searches are immutable). The
-    // deterministic EntryBetter order makes the merged top-k independent of
-    // the partitioning.
-    size_t workers = static_cast<size_t>(options.threads);
-    std::vector<TopKHeap> heaps(workers);
-    std::vector<int64_t> scanned(workers, 0);
-    std::vector<int64_t> lb_skipped(workers, 0);
-    std::vector<int64_t> dp_abandoned(workers, 0);
-    std::vector<std::future<void>> futures;
-    for (size_t w = 0; w < workers; ++w) {
-      futures.push_back(pool.Submit([&, w] {
-        similarity::EvaluatorCache worker_scratch;
-        scan(w, workers, heaps[w], scanned[w], lb_skipped[w],
-             dp_abandoned[w], worker_scratch);
-      }));
-    }
-    // Drain every future before propagating any failure: rethrowing while
-    // sibling tasks still run would unwind the stack frame their captured
-    // references (heaps, scanned, order) point into.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+  {
+    // However this block is left, later helpers are refused and the joined
+    // ones finish before the frame they point into is unwound.
+    struct CloseOnExit {
+      HelperGate* gate;
+      ~CloseOnExit() {
+        if (gate != nullptr) gate->CloseAndWait();
       }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    for (size_t w = 0; w < workers; ++w) {
-      report.trajectories_scanned += scanned[w];
-      report.lb_skipped += lb_skipped[w];
-      report.dp_abandoned += dp_abandoned[w];
-      while (!heaps[w].empty()) {
-        OfferEntry(heap, options.k, heaps[w].top());
-        heaps[w].pop();
+    } close_on_exit{gate.get()};
+    // The caller holds the first candidate before it queues the helpers, so
+    // the request's own thread always searches and a scan that ends before
+    // its first candidate wakes no helper.
+    participate(false, [&] {
+      for (size_t h = 0; h < helpers; ++h) {
+        gate->Queue();
+        (void)pool->Submit([gate, run = &participate] {
+          if (!gate->Enter()) return;  // the scan is over: touch nothing else
+          (*run)(true, [] {});
+          gate->Leave();
+        });
       }
-    }
+    });
   }
+  cursor.Finish(&report);
 
-  report.results = ExtractAscending(heap);
   if (options.cancel != nullptr &&
       options.cancel->load(std::memory_order_relaxed)) {
     report.status = util::Status::Cancelled("query cancelled mid-scan");
@@ -383,8 +548,8 @@ QueryReport SimSubEngine::QueryTopKSubtrajectories(
                   similarity::EvaluatorCache& scratch, TopKHeap& heap) {
                 similarity::PrefixEvaluator& eval =
                     *scratch.Acquire(measure, query);
-                // Every range goes straight into the partition's heap, whose
-                // kth distance is the cut-off once it holds k entries.
+                // Every range goes straight into the given heap, whose kth
+                // distance (below the threshold once full) is the cut-off.
                 algo::SearchStats stats;
                 algo::ScanWindows(
                     eval, traj.View(), min_size, traj.size(),

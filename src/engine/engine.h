@@ -3,22 +3,28 @@
 // pruned by a bounding-box R-tree or an inverted grid — run a per-trajectory
 // SimSub algorithm, and maintain the top-k most similar subtrajectories.
 //
-// Parallel scans run on the process-wide shared util::ThreadPool instead of
-// spawning threads per query, and the per-trajectory searches reuse
-// evaluator DP scratch through similarity::EvaluatorCache. Results are
-// deterministic regardless of the thread count: top-k ties are broken by
-// (distance, trajectory_id, range.start, range.end).
-//
 // Query (one answer per data trajectory) and QueryTopKSubtrajectories (any
 // number per trajectory) share one scan loop. With a sum- or max-aggregating
 // measure it runs best-first (Seidl & Kriegel, SIGMOD 1998; see
 // algo/lower_bounds.h): candidates are visited in ascending nearest-endpoint
-// lower bound over the cached SoA copies, and each scan partition stops at
-// its first bound above its best-kth distance, which is shared atomically
-// across workers and also early-abandons the DP inside the per-trajectory
-// step of both entry points. Pruned results are bit-identical to unpruned
-// ones at any thread count; QueryOptions::prune turns pruning off for
+// lower bound over the cached SoA copies, and the scan stops at its first
+// bound above the best-kth distance, which also early-abandons the DP
+// inside the per-trajectory step of both entry points. Pruned results are
+// bit-identical to unpruned ones; QueryOptions::prune turns pruning off for
 // measurement.
+//
+// A scan may have several participants: the calling thread plus pool
+// helpers that join while it runs (QueryOptions::threads), in the style
+// of morsel-driven scheduling (Leis et al., SIGMOD 2014). They take
+// candidates from one cursor in visit order and may search ahead of
+// the others, bailing out against the last committed best-kth distance;
+// each candidate's result is committed in visit order, where the stop rule
+// and the top-k offers run exactly as on one thread. Results,
+// trajectories_scanned and lb_skipped are therefore the same at any
+// participant count (top-k ties are broken by (distance, trajectory_id,
+// range.start, range.end)); only dp_abandoned depends on timing. The
+// per-trajectory searches reuse evaluator DP scratch through
+// similarity::EvaluatorCache.
 #ifndef SIMSUB_ENGINE_ENGINE_H_
 #define SIMSUB_ENGINE_ENGINE_H_
 
@@ -74,15 +80,16 @@ struct QueryReport {
   std::vector<TopKEntry> results;  // ascending by EntryBetter
   int64_t trajectories_scanned = 0;
   int64_t trajectories_pruned = 0;
-  /// Candidates never searched because a best-first partition stopped
-  /// before them: its next nearest-endpoint bound was already above the
-  /// best-kth distance, and every candidate it had left counts here.
-  /// Counted within trajectories_scanned. Timing-dependent under
-  /// multi-threaded scans (the shared bound tightens as workers progress);
-  /// the RESULTS are not.
+  /// Candidates never searched because the best-first scan stopped before
+  /// them: the next nearest-endpoint bound in visit order was already
+  /// above the best-kth distance, and every candidate left counts here.
+  /// Counted within trajectories_scanned. The stop is decided in visit
+  /// order, so the count does not depend on the participant count.
   int64_t lb_skipped = 0;
   /// Start points whose DP extension scan was abandoned early inside the
   /// per-trajectory search (best-so-far / bailout threshold exceeded).
+  /// Timing-dependent when helpers take part: a candidate searched ahead
+  /// of the commit bails out against an older, looser threshold.
   int64_t dp_abandoned = 0;
   /// Execution time of the scan itself.
   double seconds = 0.0;
@@ -111,31 +118,37 @@ struct QueryReport {
 struct QueryOptions {
   int k = 1;
   PruningFilter filter = PruningFilter::kNone;
-  /// Number of scan partitions; > 1 runs them on the shared process pool
-  /// (util::ThreadPool::Shared()). 1 scans inline on the calling thread.
+  /// Participant cap: the calling thread plus up to threads - 1 helpers,
+  /// queued on the pool the caller is a worker of
+  /// (util::ThreadPool::Current()), else on util::ThreadPool::Shared().
+  /// A helper joins only while the scan is still running, leaves when it
+  /// finds nothing to take within its lookahead window or (between
+  /// candidates) when the pool has other tasks queued, and the caller
+  /// never waits for one that has not joined. 1 scans on the calling
+  /// thread alone. Results, trajectories_scanned and lb_skipped do not
+  /// depend on it.
   int threads = 1;
-  /// Caller-owned evaluator scratch, used by the sequential path (parallel
-  /// partitions keep their own). Null allocates a transient cache.
+  /// Caller-owned evaluator scratch for the calling thread's searches
+  /// (each helper keeps its own). Null allocates a transient cache.
   similarity::EvaluatorCache* scratch = nullptr;
-  /// Lower-bound pruning: maintain a best-kth-distance threshold (shared
-  /// atomically across scan partitions) and pass it into each
-  /// per-trajectory step as a DP bailout. With a sum- or max-aggregating
-  /// measure the scan of both entry points also runs best-first:
-  /// candidates in ascending nearest-endpoint lower bound, each partition
-  /// stopping at its first bound above the threshold. Results are
+  /// Lower-bound pruning: maintain a best-kth-distance threshold and pass
+  /// it into each per-trajectory step as a DP bailout. With a sum- or
+  /// max-aggregating measure the scan of both entry points also runs
+  /// best-first: candidates in ascending nearest-endpoint lower bound,
+  /// stopping at the first bound above the threshold. Results are
   /// bit-identical with pruning on or off — only candidates that provably
   /// cannot enter the top-k (strictly worse than the kth best, so no
   /// tie-break can admit them) are skipped. Off, the scan visits
   /// candidates in ordinal order and runs every search in full.
   bool prune = true;
   /// Cooperative cancellation flag (caller-owned, may be flipped from any
-  /// thread). Checked between per-trajectory searches in every scan
-  /// partition: once set, the scan stops early and the report comes back
-  /// with status Cancelled and partial results. Null = not cancellable.
+  /// thread). Checked by every participant before it takes a candidate:
+  /// once set, the scan stops early and the report comes back with status
+  /// Cancelled and partial results. Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Absolute execution deadline. Checked alongside `cancel` between
-  /// per-trajectory searches in every scan partition: once the clock
-  /// passes it, the scan stops and the report comes back with status
+  /// Absolute execution deadline. Checked alongside `cancel` by every
+  /// participant before it takes a candidate: once the clock passes it,
+  /// the scan stops and the report comes back with status
   /// DeadlineExceeded and partial results — the execution-time half of the
   /// service's deadline contract (queue expiry is the service's half).
   /// time_point::max() (the default) = no deadline, and the scan never
@@ -163,7 +176,7 @@ struct BatchedQueryView {
 /// Execution knobs for SimSubEngine::QueryBatch: the subset of QueryOptions
 /// that is batch-wide rather than per-query, passed to every Query call.
 struct BatchQueryOptions {
-  /// Scan partitions per query, as QueryOptions::threads.
+  /// Participant cap per query, as QueryOptions::threads.
   int threads = 1;
   /// As QueryOptions::scratch; reused by every query of the batch.
   similarity::EvaluatorCache* scratch = nullptr;
@@ -204,8 +217,10 @@ class SimSubEngine {
   /// With PruningFilter::kRTree, trajectories whose MBR does not intersect
   /// the query's MBR are pruned — the paper's bounding-box filter, which
   /// may rarely drop true answers. With kInvertedGrid, trajectories sharing
-  /// no grid cell with the query are pruned. Results are identical for any
-  /// `threads` value.
+  /// no grid cell with the query are pruned. Results,
+  /// trajectories_scanned and lb_skipped are identical for any `threads`
+  /// value. An exception from any participant's search is rethrown here,
+  /// after every helper that joined has stopped.
   QueryReport Query(std::span<const geo::Point> query,
                     const algo::SubtrajectorySearch& search,
                     const QueryOptions& options) const;
@@ -226,11 +241,12 @@ class SimSubEngine {
   /// best overall — a data trajectory may contribute several results.
   /// `min_size` filters near-duplicate single-point answers. Shares Query's
   /// scan, so every QueryOptions field means the same here: filter,
-  /// partitions, scratch, the best-first stop (the nearest-endpoint bound
+  /// participants, scratch, the best-first stop (the nearest-endpoint bound
   /// holds for every subtrajectory of a candidate), the DP bailout (a start
   /// point's extensions are abandoned once they provably exceed the kth
   /// best), cancellation, deadline and counters. Results are identical for
-  /// any `threads` and `prune` value.
+  /// any `threads` and `prune` value, and so are trajectories_scanned and
+  /// lb_skipped for any `threads` value.
   QueryReport QueryTopKSubtrajectories(
       std::span<const geo::Point> query,
       const similarity::SimilarityMeasure& measure, int min_size,
@@ -269,11 +285,14 @@ class SimSubEngine {
                                          PruningFilter filter) const;
 
   /// The one scan loop behind Query and QueryTopKSubtrajectories. `step`
-  /// searches one trajectory, offers its entries to the partition's heap
+  /// searches one trajectory, offers its entries to the heap it is given
   /// and returns its abandoned-DP count; its arguments are the trajectory,
-  /// the partition's best-kth threshold (+infinity until known, and always
-  /// with pruning off), the partition's evaluator scratch and its heap.
-  /// `measure` (may be null) keys the best-first order.
+  /// the committed best-kth threshold when the candidate was taken
+  /// (+infinity until known, and always with pruning off), the
+  /// participant's evaluator scratch, and either the committed top-k heap
+  /// (the candidate is next to commit) or an empty heap of its own whose
+  /// entries are committed later. `step` must be safe to call from several
+  /// threads at once. `measure` (may be null) keys the best-first order.
   template <typename Step>
   QueryReport Scan(std::span<const geo::Point> query,
                    const similarity::SimilarityMeasure* measure,

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "net/wire.h"
@@ -27,8 +29,8 @@ constexpr int kPollIntervalMs = 50;
 /// long a stalled peer can pin a handler worker.
 constexpr int kReadTimeoutMs = 10'000;
 
-/// A shed/refusal answer: a full REPORT frame whose status explains the
-/// refusal — clients handle sheds exactly like any other non-OK report.
+/// A shed/refusal/failure answer: a full REPORT frame whose status explains
+/// it — clients handle these exactly like any other non-OK report.
 engine::QueryReport ShedReport(util::Status status) {
   engine::QueryReport report;
   report.status = std::move(status);
@@ -284,7 +286,17 @@ void Server::HandleConnection(int fd) {
       // valid for the whole execution.
       std::future<engine::QueryReport> future =
           service_.Submit(std::move(query->spec));
-      report = future.get();
+      // An exception from execution still gets an answer, so the window
+      // slot, the connection and the accounting law all survive it.
+      try {
+        report = future.get();
+      } catch (const std::exception& e) {
+        report = ShedReport(util::Status::Internal(
+            std::string("query execution failed: ") + e.what()));
+      } catch (...) {
+        report = ShedReport(
+            util::Status::Internal("query execution failed: unknown error"));
+      }
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
       stats_.queries_answered.Add();
     }

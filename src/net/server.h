@@ -73,7 +73,9 @@ struct ServerStats {
   util::Counter connections_accepted;
   /// Accepts refused by the connection cap (ERROR frame + close).
   util::Counter connections_rejected;
-  /// QUERY frames answered by the service (any status).
+  /// QUERY frames answered by the service (any status; an Internal one
+  /// when execution threw). Every QUERY frame counts once here, in a shed
+  /// counter or in malformed_frames.
   util::Counter queries_answered;
   /// QUERY frames shed by admission control, never reaching the service.
   util::Counter shed_inflight;

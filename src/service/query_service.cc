@@ -129,7 +129,7 @@ size_t QueryService::resolved_cache_size() const {
 engine::QueryReport QueryService::ExecuteSpec(
     const QuerySpec& spec, const Resolved& resolved,
     similarity::EvaluatorCache* scratch,
-    std::chrono::steady_clock::time_point deadline) {
+    std::chrono::steady_clock::time_point deadline, int participants) {
   PlanDecision plan;
   if (spec.filter.has_value()) {
     plan.filter = *spec.filter;
@@ -142,7 +142,7 @@ engine::QueryReport QueryService::ExecuteSpec(
   engine::QueryOptions eo;
   eo.k = spec.k;
   eo.filter = plan.filter;
-  eo.threads = 1;  // inter-query parallelism only; the scan stays inline
+  eo.threads = participants;
   eo.scratch = scratch;
   eo.prune = spec.prune;
   eo.cancel = spec.cancel;
@@ -158,7 +158,8 @@ engine::QueryReport QueryService::ExecuteSpec(
 }
 
 engine::QueryReport QueryService::ServeSpec(
-    const QuerySpec& spec, std::chrono::steady_clock::time_point submitted) {
+    const QuerySpec& spec, std::chrono::steady_clock::time_point submitted,
+    int participants) {
   auto started = std::chrono::steady_clock::now();
   engine::QueryReport report;
   report.queue_seconds = SecondsSince(submitted, started);
@@ -234,7 +235,7 @@ engine::QueryReport QueryService::ServeSpec(
   // scans, shared with no other request.
   similarity::EvaluatorCache scratch;
   const double queue_seconds = report.queue_seconds;
-  report = ExecuteSpec(spec, resolved, &scratch, deadline);
+  report = ExecuteSpec(spec, resolved, &scratch, deadline, participants);
   report.queue_seconds = queue_seconds;
   stats_.evaluator_reuses.Add(scratch.reuse_count());
   stats_.evaluator_allocs.Add(scratch.alloc_count());
@@ -269,7 +270,7 @@ std::future<engine::QueryReport> QueryService::Submit(QuerySpec spec) {
   // allocation on the hot submit path.
   pool_->Submit([this, promise, submitted, spec = std::move(spec)]() {
     try {
-      promise->set_value(ServeSpec(spec, submitted));
+      promise->set_value(ServeSpec(spec, submitted, pool_->size()));
     } catch (...) {
       promise->set_exception(std::current_exception());
     }
@@ -287,7 +288,7 @@ std::vector<std::future<engine::QueryReport>> QueryService::SubmitBatch(
 }
 
 engine::QueryReport QueryService::RunOne(const QuerySpec& spec) {
-  return ServeSpec(spec, std::chrono::steady_clock::now());
+  return ServeSpec(spec, std::chrono::steady_clock::now(), 1);
 }
 
 }  // namespace simsub::service

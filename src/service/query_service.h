@@ -13,20 +13,30 @@
 //
 // Determinism: a SubmitBatch() over specs resolves to exactly what running
 // each spec through RunOne() sequentially returns (same entries,
-// bit-identical distances), regardless of worker count or how many
-// dispatcher threads submitted — the engine's top-k order is total, the
-// planner is a pure function of the query and database statistics, and
-// resolved searches are immutable (every algorithm, "random-s" included, is
-// a pure function of its data and query).
+// bit-identical distances, and the same trajectories_scanned and
+// lb_skipped), regardless of worker count, how many dispatcher threads
+// submitted, or how many workers helped each scan — the engine commits a
+// scan's candidates in visit order whoever searched them, its top-k order
+// is total, the planner is a pure function of the query and database
+// statistics, and resolved searches are immutable (every algorithm,
+// "random-s" included, is a pure function of its data and query). Only
+// dp_abandoned depends on timing.
 //
 // Threading contract: every public method is safe to call from multiple
 // application threads concurrently — Submit/SubmitBatch/RunOne/stats may
-// all overlap. ServiceStats is made of util::Counter fields (stats() is
-// safe to read during a running batch), and a request's scratch lives and
-// dies with the request, so no thread shares one. Calling RunOne from
-// inside one of the service's own pool tasks is safe: it runs inline on
-// that worker. Blocking on a Submit() future from inside a pool task is
-// NOT safe (the task would wait on work queued behind itself).
+// all overlap. A request submitted through Submit or SubmitBatch executes
+// on one pool worker, and idle workers of the same pool may join its scan
+// as helpers (engine::QueryOptions::threads, capped at the pool size): a
+// helper joins only while that scan runs, steps aside between candidates
+// when other tasks are queued, and the request never waits for a helper
+// that has not joined, so a busy pool serves every request on one worker
+// each. RunOne scans on the calling thread alone. ServiceStats is
+// made of util::Counter fields (stats() is safe to read during a running
+// batch), and a request's scratch lives and dies with the request, serving
+// its own worker only (helpers keep their own). Calling RunOne from inside
+// one of the service's own pool tasks is safe: it runs inline on that
+// worker. Blocking on a Submit() future from inside a pool task is NOT
+// safe (the task would wait on work queued behind itself).
 #ifndef SIMSUB_SERVICE_QUERY_SERVICE_H_
 #define SIMSUB_SERVICE_QUERY_SERVICE_H_
 
@@ -79,7 +89,7 @@ struct ServiceStats {
   util::Counter spec_cache_hits;
   util::Counter spec_cache_misses;
   /// Evaluator scratch reuses vs fresh allocations, summed over every
-  /// executed request's own cache.
+  /// executed request's own cache (scan helpers' caches are not counted).
   util::Counter evaluator_reuses;
   util::Counter evaluator_allocs;
   /// Served queries per planner outcome (engine::PruningFilter).
@@ -122,7 +132,10 @@ class QueryService {
   /// `spec.algorithm_options.rls_policy` (when set — it is a raw pointer
   /// read on the worker at resolve time, not deep-copied) must outlive the
   /// future's resolution; the rest of the spec is taken by value and moved
-  /// through to the worker (pass a temporary and nothing is copied).
+  /// through to the worker (pass a temporary and nothing is copied). Idle
+  /// workers may help scan (see the threading contract above). An exception
+  /// raised while executing, on the worker or on a helper, resolves the
+  /// future with that exception once every helper has stopped.
   std::future<engine::QueryReport> Submit(QuerySpec spec);
 
   /// Calls Submit for every spec — one pool task per spec — and returns
@@ -138,7 +151,8 @@ class QueryService {
       std::span<const QuerySpec> specs);
 
   /// Resolves and executes one spec inline on the calling thread (no pool
-  /// hop, queue_seconds == 0); the reference semantics for Submit.
+  /// hop, no scan helpers, queue_seconds == 0); the reference semantics for
+  /// Submit.
   engine::QueryReport RunOne(const QuerySpec& spec);
 
   /// Snapshot of the cumulative counters. Safe to call at any time,
@@ -174,9 +188,12 @@ class QueryService {
   /// validation, resolution), planning and execution on the request's own
   /// evaluator scratch, and the stats count of the outcome. `submitted` is
   /// when the request entered the service (Submit time, or now for RunOne).
+  /// `participants` caps the scan's participants (engine::QueryOptions::
+  /// threads): the pool size for requests executing on the pool, whose
+  /// idle workers may join, and 1 to scan on the calling thread alone.
   engine::QueryReport ServeSpec(
-      const QuerySpec& spec,
-      std::chrono::steady_clock::time_point submitted);
+      const QuerySpec& spec, std::chrono::steady_clock::time_point submitted,
+      int participants);
 
   /// Plans the spec and runs it through the engine with one
   /// engine::QueryOptions for either entry point. `deadline` is the
@@ -186,7 +203,7 @@ class QueryService {
   engine::QueryReport ExecuteSpec(
       const QuerySpec& spec, const Resolved& resolved,
       similarity::EvaluatorCache* scratch,
-      std::chrono::steady_clock::time_point deadline);
+      std::chrono::steady_clock::time_point deadline, int participants);
 
   engine::SimSubEngine engine_;
   QueryPlanner planner_;

@@ -17,7 +17,7 @@ namespace simsub::util {
 namespace {
 
 struct SitePolicy {
-  enum class Action { kError, kAbort, kDelay };
+  enum class Action { kError, kThrow, kAbort, kDelay };
   enum class Trigger { kAlways, kOnce, kNth, kTimes, kProb };
 
   Action action = Action::kError;
@@ -69,6 +69,8 @@ Status ParsePolicy(const std::string& policy, SitePolicy* out) {
 
   if (action == "error") {
     out->action = SitePolicy::Action::kError;
+  } else if (action == "throw") {
+    out->action = SitePolicy::Action::kThrow;
   } else if (action == "abort") {
     out->action = SitePolicy::Action::kAbort;
   } else if (action.rfind("delay:", 0) == 0) {
@@ -86,7 +88,7 @@ Status ParsePolicy(const std::string& policy, SitePolicy* out) {
     }
     out->delay_ms = static_cast<int>(ms);
   } else {
-    return bad("unknown action (want error|abort|delay:<ms>|off)");
+    return bad("unknown action (want error|throw|abort|delay:<ms>|off)");
   }
 
   if (trigger.empty()) {
@@ -240,6 +242,8 @@ Status FireSlow(const char* site) {
     case SitePolicy::Action::kDelay:
       if (delay_ms > 0) ::poll(nullptr, 0, delay_ms);
       return Status::OK();
+    case SitePolicy::Action::kThrow:
+      throw FailpointError(std::string("failpoint '") + site + "' fired");
     case SitePolicy::Action::kError:
       break;
   }

@@ -17,6 +17,8 @@
 // Policies are `action[@trigger]`:
 //
 //   action:   error       return IOError("failpoint '<site>' fired")
+//             throw       throw util::FailpointError at the site (a fault
+//                         in code that reports errors by exception)
 //             abort       std::_Exit(kFailpointAbortExitCode) at the site
 //                         (crash simulation: no cleanup handlers run)
 //             delay:<ms>  sleep, then proceed OK (latency injection)
@@ -42,6 +44,7 @@
 #define SIMSUB_UTIL_FAILPOINT_H_
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,10 +70,17 @@ constexpr bool FailpointsCompiledIn() {
   return SIMSUB_FAILPOINTS_COMPILED != 0;
 }
 
+/// What a `throw` policy throws; what() names the site.
+class FailpointError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Evaluates the site against its configured policy. Returns OK when no
 /// policy is set or the trigger does not fire; IOError when an `error`
-/// policy fires; does not return when an `abort` policy fires. `site`
-/// must have static storage duration (sites are string literals).
+/// policy fires; throws FailpointError when a `throw` policy fires; does
+/// not return when an `abort` policy fires. `site` must have static
+/// storage duration (sites are string literals).
 [[nodiscard]] Status FailpointFire(const char* site);
 
 /// Sets (or with "off" removes) the policy for one site. Fails with

@@ -9,10 +9,9 @@ namespace simsub::util {
 
 namespace {
 
-// Identifies the pool (and slot) owning the current thread. Thread-local so
-// WorkerIndex() needs no locking and works with any number of pools.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
+// The pool owning the current thread. Thread-local so Current() needs no
+// locking and works with any number of pools.
+thread_local ThreadPool* tls_pool = nullptr;
 
 }  // namespace
 
@@ -20,7 +19,7 @@ ThreadPool::ThreadPool(int num_threads) {
   SIMSUB_CHECK_GE(num_threads, 1);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -42,6 +41,8 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
     MutexLock lock(mu_);
     SIMSUB_CHECK(!stop_) << "Submit() on a destroyed ThreadPool";
     queue_.push_back(std::move(t));
+    queued_.store(static_cast<int64_t>(queue_.size()),
+                  std::memory_order_relaxed);
     ++pending_;
   }
   task_ready_.notify_one();
@@ -55,13 +56,10 @@ void ThreadPool::WaitAll() {
   while (pending_ != 0) all_done_.wait(mu_);
 }
 
-int ThreadPool::WorkerIndex() const {
-  return tls_pool == this ? tls_worker_index : -1;
-}
+ThreadPool* ThreadPool::Current() { return tls_pool; }
 
-void ThreadPool::WorkerLoop(int index) {
+void ThreadPool::WorkerLoop() {
   tls_pool = this;
-  tls_worker_index = index;
   for (;;) {
     Task task;
     {
@@ -70,6 +68,8 @@ void ThreadPool::WorkerLoop(int index) {
       if (queue_.empty()) return;  // stop_ set and nothing left to run
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(static_cast<int64_t>(queue_.size()),
+                    std::memory_order_relaxed);
     }
     try {
       task.fn();

@@ -9,14 +9,18 @@
 //     pending counter is incremented at Submit time.
 //   * The pool is reusable: Submit() after WaitAll() is always valid; only
 //     destruction shuts the workers down.
-//   * WorkerIndex() identifies the calling pool thread. Blocking on a
-//     future from inside a worker of the same pool can deadlock; callers
-//     that may run on pool threads should check OnWorkerThread() and
-//     execute inline instead (see SimSubEngine::Query).
+//   * Current() names the pool the calling thread works for. Blocking on a
+//     future from inside a worker of the same pool can deadlock: a task
+//     that wants help from its own pool must be able to finish without it
+//     (SimSubEngine::Query's scan helpers join only while the scan runs).
+//   * queued() counts the tasks still waiting for a worker, so a
+//     long-running task can step aside for queued work.
 #ifndef SIMSUB_UTIL_THREAD_POOL_H_
 #define SIMSUB_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -48,10 +52,13 @@ class ThreadPool {
   /// within tasks) has finished. Exceptions stay in the futures.
   void WaitAll() SIMSUB_EXCLUDES(mu_);
 
-  /// Index in [0, size()) when called from one of this pool's workers,
-  /// -1 otherwise.
-  int WorkerIndex() const;
-  bool OnWorkerThread() const { return WorkerIndex() >= 0; }
+  /// The pool whose worker the calling thread is, or null on any other
+  /// thread.
+  static ThreadPool* Current();
+
+  /// Tasks submitted and not yet taken by a worker: a relaxed snapshot,
+  /// read without the pool's lock.
+  int64_t queued() const { return queued_.load(std::memory_order_relaxed); }
 
   /// Process-wide lazily-created pool with hardware_concurrency workers.
   /// Never destroyed (intentionally leaked so late Submits cannot race
@@ -64,7 +71,7 @@ class ThreadPool {
     std::promise<void> done;
   };
 
-  void WorkerLoop(int index) SIMSUB_EXCLUDES(mu_);
+  void WorkerLoop() SIMSUB_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   // condition_variable_any waits directly on the annotated Mutex (it is
@@ -73,6 +80,7 @@ class ThreadPool {
   std::condition_variable_any all_done_;    // signalled when pending_ hits 0
   std::deque<Task> queue_ SIMSUB_GUARDED_BY(mu_);
   int64_t pending_ SIMSUB_GUARDED_BY(mu_) = 0;  // queued + running tasks
+  std::atomic<int64_t> queued_{0};  // queue_.size(), published for queued()
   bool stop_ SIMSUB_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;  // written only in ctor/dtor
 };

@@ -310,21 +310,15 @@ TEST(EngineTest, BestFirstScanSearchesOnlyTheExactMatch) {
       EXPECT_EQ(seq.trajectories_scanned, 40) << label;
       EXPECT_EQ(seq.trajectories_scanned - seq.lb_skipped, 1) << label;
 
-      // Three partitions find the same answer and still count every
-      // candidate as scanned. Under Frechet each partition's first distance
-      // is already below the bound of its next candidate, so at most three
-      // searches run whatever the timing. Under DTW a partition keeps
-      // searching until the shared bound of 0 reaches it, so its count
-      // depends on timing and is not pinned.
+      // Three participants find the same answer and, since the stop is
+      // committed in visit order, skip exactly what one thread skips.
       QueryReport par = RunQuery(engine, query, *search, /*k=*/1,
                                  PruningFilter::kNone, /*threads=*/3);
       ASSERT_EQ(par.results.size(), 1u) << label;
       EXPECT_EQ(par.results[0].trajectory_id, target.id()) << label;
       EXPECT_EQ(par.results[0].distance, 0.0) << label;
       EXPECT_EQ(par.trajectories_scanned, 40) << label;
-      if (m == &frechet) {
-        EXPECT_LE(par.trajectories_scanned - par.lb_skipped, 3) << label;
-      }
+      EXPECT_EQ(par.lb_skipped, seq.lb_skipped) << label;
     }
   }
 }
@@ -345,7 +339,7 @@ void ExpectSameResults(const QueryReport& want, const QueryReport& got,
 }
 
 TEST(EngineTest, SubtrajectoryTopKIsIdenticalAcrossThreadsAndPrune) {
-  // The subtrajectory-level top-k runs through Query's scan: partitions,
+  // The subtrajectory-level top-k runs through Query's scan: participants,
   // the best-first stop and its counters apply, and none of them may
   // change an answer.
   data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 60, 4242);
@@ -400,7 +394,7 @@ TEST(EngineTest, SubtrajectoryTopKIsIdenticalAcrossThreadsAndPrune) {
 
 TEST(EngineTest, RandomSIsIdenticalAcrossThreads) {
   // Random-S replays its seed on every call, so sharing one instance
-  // across scan partitions changes neither the answer nor the draws.
+  // across scan participants changes neither the answer nor the draws.
   data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 200, 77);
   SimSubEngine engine(d.trajectories);
   algo::RandomSSearch random_s(&kDtw, /*sample_size=*/50, /*seed=*/9);

@@ -188,8 +188,8 @@ TEST(AlgoInvariantsTest, EngineResultsInvariantUnderThreadCount) {
             << name << " entry " << i;
         EXPECT_EQ(sequential.results[i].range, parallel.results[i].range)
             << name << " entry " << i;
-        // Bit-identical, not approximately equal: the partitions compute
-        // the same per-trajectory distances and the merge order is total.
+        // Bit-identical, not approximately equal: every participant
+        // computes the same per-trajectory distances and the order is total.
         EXPECT_EQ(sequential.results[i].distance,
                   parallel.results[i].distance)
             << name << " entry " << i;

@@ -62,6 +62,21 @@ TEST_F(FailpointTest, NthTriggerFiresOnExactlyThatHit) {
   EXPECT_TRUE(FailpointFire("test.nth").ok());
 }
 
+TEST_F(FailpointTest, ThrowPolicyThrowsFailpointError) {
+  ASSERT_TRUE(SetFailpoint("test.throw", "throw@nth:2").ok());
+  EXPECT_TRUE(FailpointFire("test.throw").ok());
+  try {
+    (void)FailpointFire("test.throw");
+    ADD_FAILURE() << "the second hit did not throw";
+  } catch (const FailpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("test.throw"), std::string::npos);
+  }
+  EXPECT_TRUE(FailpointFire("test.throw").ok());
+  FailpointCounters c = GetFailpointCounters("test.throw");
+  EXPECT_EQ(c.hits, 3);
+  EXPECT_EQ(c.fires, 1);
+}
+
 TEST_F(FailpointTest, TimesTriggerFiresOnFirstNHits) {
   ASSERT_TRUE(SetFailpoint("test.times", "error@times:2").ok());
   EXPECT_FALSE(FailpointFire("test.times").ok());

@@ -82,33 +82,26 @@ TEST(ThreadPoolTest, NestedSubmitIsCountedByWaitAll) {
   EXPECT_EQ(counter.load(), 16);
 }
 
-TEST(ThreadPoolTest, WorkerIndexIdentifiesPoolThreads) {
+TEST(ThreadPoolTest, CurrentIdentifiesPoolThreads) {
   ThreadPool pool(3);
-  EXPECT_EQ(pool.WorkerIndex(), -1);  // Caller is not a worker.
-  EXPECT_FALSE(pool.OnWorkerThread());
-  std::vector<std::atomic<int>> seen(3);
-  for (auto& s : seen) s.store(0);
+  EXPECT_EQ(ThreadPool::Current(), nullptr);  // Caller is not a worker.
+  std::atomic<int> on_pool{0};
   for (int i = 0; i < 64; ++i) {
-    pool.Submit([&pool, &seen] {
-      int w = pool.WorkerIndex();
-      ASSERT_GE(w, 0);
-      ASSERT_LT(w, pool.size());
-      EXPECT_TRUE(pool.OnWorkerThread());
-      seen[static_cast<size_t>(w)].fetch_add(1);
+    pool.Submit([&pool, &on_pool] {
+      if (ThreadPool::Current() == &pool) on_pool.fetch_add(1);
     });
   }
   pool.WaitAll();
-  int total = 0;
-  for (auto& s : seen) total += s.load();
-  EXPECT_EQ(total, 64);
+  EXPECT_EQ(on_pool.load(), 64);
 }
 
-TEST(ThreadPoolTest, WorkerIndexIsPerPool) {
+TEST(ThreadPoolTest, CurrentIsPerPool) {
   ThreadPool a(1);
   ThreadPool b(1);
   a.Submit([&a, &b] {
-     EXPECT_EQ(a.WorkerIndex(), 0);
-     EXPECT_EQ(b.WorkerIndex(), -1);  // A's worker is not B's.
+     EXPECT_EQ(ThreadPool::Current(), &a);
+     EXPECT_NE(ThreadPool::Current(), &b);  // A's worker is not B's.
+     b.Submit([&b] { EXPECT_EQ(ThreadPool::Current(), &b); }).get();
    }).get();
 }
 
