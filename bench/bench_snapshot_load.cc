@@ -3,12 +3,11 @@
 // (data/snapshot.h), plus the end-to-end time until a query-ready
 // SimSubEngine exists on each path.
 //
-// Four load variants are timed on the same corpus:
+// Three load variants are timed on the same corpus:
 //   csv_load        — data::LoadCsv text parse (the pre-snapshot cold start)
 //   open_verified   — CorpusSnapshot::Open, mmap + checksum pass (default)
 //   open_unverified — CorpusSnapshot::Open with verify_checksum = false
 //                     (pure mmap: O(1), pages fault in on first query)
-//   open_buffered   — Open with use_mmap = false (read into heap, verified)
 //
 // and both engines answer the same pruned top-k workload, asserting
 // bit-identical results (exits non-zero otherwise). Emits
@@ -127,12 +126,7 @@ int main(int argc, char** argv) {
   util::Stopwatch raw_timer;
   auto snapshot_raw = data::CorpusSnapshot::Open(snap_path, unverified);
   double open_unverified_s = raw_timer.ElapsedSeconds();
-  data::SnapshotOpenOptions buffered;
-  buffered.use_mmap = false;
-  util::Stopwatch buf_timer;
-  auto snapshot_buf = data::CorpusSnapshot::Open(snap_path, buffered);
-  double open_buffered_s = buf_timer.ElapsedSeconds();
-  if (!snapshot_raw.ok() || !snapshot_buf.ok()) {
+  if (!snapshot_raw.ok()) {
     std::fprintf(stderr, "snapshot re-open failed\n");
     return 1;
   }
@@ -191,7 +185,6 @@ int main(int argc, char** argv) {
               open_verified_s * 1e3, speedup_verified);
   std::printf("open (no verify):%10.3f ms  (%.0fx vs csv)\n",
               open_unverified_s * 1e3, speedup_unverified);
-  std::printf("open (buffered): %10.1f ms\n", open_buffered_s * 1e3);
   std::printf("engine ready:    csv %8.1f ms | snapshot %8.1f ms (%.1fx)\n",
               csv_ready_s * 1e3, snap_ready_s * 1e3, speedup_ready);
   std::printf("pruned top-%d x%d: csv %.1f ms | snapshot %.1f ms | "
@@ -212,8 +205,7 @@ int main(int argc, char** argv) {
       "\"queries\": %d, \"k\": %d, \"quick\": %s, \"isa\": \"%s\"},\n"
       "  \"files\": {\"csv_bytes\": %lld, \"snapshot_bytes\": %lld},\n"
       "  \"load\": {\"csv_load_seconds\": %.6f, "
-      "\"open_verified_seconds\": %.6f, \"open_unverified_seconds\": %.6f, "
-      "\"open_buffered_seconds\": %.6f,\n"
+      "\"open_verified_seconds\": %.6f, \"open_unverified_seconds\": %.6f,\n"
       "           \"speedup_verified\": %.3f, \"speedup_unverified\": %.3f},\n"
       "  \"engine_ready\": {\"csv_seconds\": %.6f, \"snapshot_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
@@ -224,7 +216,7 @@ int main(int argc, char** argv) {
       quick ? "true" : "false", simsub::geo::ActiveIsaName(),
       static_cast<long long>(csv_bytes),
       static_cast<long long>(snap_bytes), csv_load_s, open_verified_s,
-      open_unverified_s, open_buffered_s, speedup_verified,
+      open_unverified_s, speedup_verified,
       speedup_unverified, csv_ready_s, snap_ready_s, speedup_ready,
       csv_query_s, snap_query_s, identical ? "true" : "false");
   std::fclose(json);

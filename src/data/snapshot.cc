@@ -134,45 +134,6 @@ util::Status DecodeHeader(const unsigned char* data, const std::string& path,
   return util::Status::OK();
 }
 
-// ---- Read-side file backing: mmap or a heap buffer (via util/io). ----------
-
-class FileBacking {
- public:
-  static util::Result<std::shared_ptr<FileBacking>> Open(
-      const std::string& path, bool use_mmap) {
-    auto backing = std::shared_ptr<FileBacking>(new FileBacking());
-    if (use_mmap) {
-      auto map = util::io::MapFileReadOnly(path);
-      if (!map.ok()) {
-        if (map.status().code() == util::StatusCode::kInvalidArgument) {
-          // Empty file: report it as the truncation it is.
-          return util::Status::InvalidArgument(
-              "truncated snapshot (empty file): " + path);
-        }
-        return map.status();
-      }
-      backing->map_ = std::move(map).value();
-      return backing;
-    }
-    // Buffered fallback: read the whole file into the heap (aligned for
-    // the word-wide checksum by the allocator).
-    auto bytes = util::io::ReadFileBytes(path);
-    if (!bytes.ok()) return bytes.status();
-    backing->buffer_ = std::move(bytes).value();
-    return backing;
-  }
-
-  const unsigned char* data() const {
-    return map_ != nullptr ? map_->data() : buffer_.data();
-  }
-  size_t size() const { return map_ != nullptr ? map_->size() : buffer_.size(); }
-
- private:
-  FileBacking() = default;
-  std::shared_ptr<const util::io::MMapping> map_;
-  std::vector<unsigned char> buffer_;
-};
-
 util::Status WriteChunk(util::io::File* f, WordHasher* hasher,
                         const void* data, size_t bytes) {
   if (bytes == 0) return util::Status::OK();
@@ -359,11 +320,18 @@ util::Result<SnapshotRecovery> RecoverSnapshotDir(const std::string& dir) {
 
 util::Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::Open(
     const std::string& path, const SnapshotOpenOptions& options) {
-  auto backing = FileBacking::Open(path, options.use_mmap);
-  if (!backing.ok()) return backing.status();
-  const unsigned char* data = (*backing)->data();
-  const size_t size = (*backing)->size();
-  return OpenValidated(data, size, path, options.verify_checksum, *backing);
+  auto map = util::io::MapFileReadOnly(path);
+  if (!map.ok()) {
+    if (map.status().code() == util::StatusCode::kInvalidArgument) {
+      // Empty file: report it as the truncation it is.
+      return util::Status::InvalidArgument(
+          "truncated snapshot (empty file): " + path);
+    }
+    return map.status();
+  }
+  const std::shared_ptr<const util::io::MMapping>& mapping = *map;
+  return OpenValidated(mapping->data(), mapping->size(), path,
+                       options.verify_checksum, mapping);
 }
 
 util::Result<std::shared_ptr<const CorpusSnapshot>>

@@ -87,10 +87,6 @@ struct SnapshotOpenOptions {
   /// Turning it off makes open O(1) — for callers that trust the file, e.g.
   /// re-opening a snapshot this process just wrote.
   bool verify_checksum = true;
-  /// Map the file (zero-copy, pages faulted on demand). When false the file
-  /// is read into a heap buffer instead — same interface, for filesystems
-  /// without mmap or for measuring the difference.
-  bool use_mmap = true;
 };
 
 /// An opened snapshot: zero-copy SoA columns over the mapping plus the
@@ -112,7 +108,6 @@ class CorpusSnapshot {
   /// unaligned and may be freed as soon as the call returns. This is the
   /// entry point the fuzz harness and the corruption tests drive: hostile
   /// bytes in, typed status out, no temp-file churn.
-  /// `options.use_mmap` is meaningless here and ignored.
   [[nodiscard]] static util::Result<std::shared_ptr<const CorpusSnapshot>>
   OpenFromBuffer(std::span<const uint8_t> bytes,
                  const SnapshotOpenOptions& options = {});

@@ -166,8 +166,8 @@ class SimilarityMeasure {
 /// resolved-spec cache does exactly this when flushed) can never match the
 /// dead measure's evaluator. NOT thread-safe, counters included, by design
 /// rather than omission: one cache has one owner at a time (the serving
-/// layer gives each request its own on its stack, the engine each parallel
-/// scan partition its own, and rl::SplitEnv owns one), so the slot
+/// layer gives each request its own on its stack, the engine each scan
+/// participant its own, and rl::SplitEnv owns one), so the slot
 /// deliberately carries no mutex and no SIMSUB_GUARDED_BY (see
 /// util/thread_annotations.h for the lock-annotation conventions); adding
 /// cross-thread access here is a contract change, not a missing lock.

@@ -119,28 +119,6 @@ TEST(SnapshotTest, RoundTripKeepsEmptyTrajectoriesAndEmptyCorpora) {
   EXPECT_EQ((*reopened)->total_points(), 0);
 }
 
-TEST(SnapshotTest, BufferedOpenMatchesMmap) {
-  Dataset dataset = GenerateDataset(DatasetKind::kPorto, 5, 77);
-  TempFile file(TempPath("simsub_snapshot_buffered.snap"));
-  ASSERT_TRUE(WriteSnapshot(dataset, file.path).ok());
-  SnapshotOpenOptions buffered;
-  buffered.use_mmap = false;
-  auto mapped = CorpusSnapshot::Open(file.path);
-  auto heap = CorpusSnapshot::Open(file.path, buffered);
-  ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(heap.ok());
-  ASSERT_EQ((*mapped)->trajectory_count(), (*heap)->trajectory_count());
-  for (size_t i = 0; i < (*mapped)->trajectory_count(); ++i) {
-    geo::PointsView a = (*mapped)->Soa(i);
-    geo::PointsView b = (*heap)->Soa(i);
-    ASSERT_EQ(a.size, b.size);
-    for (size_t j = 0; j < a.size; ++j) {
-      EXPECT_EQ(a.x[j], b.x[j]);
-      EXPECT_EQ(a.y[j], b.y[j]);
-    }
-  }
-}
-
 TEST(SnapshotTest, StoreOutlivesSnapshotHandle) {
   Dataset dataset = GenerateDataset(DatasetKind::kPorto, 4, 5);
   TempFile file(TempPath("simsub_snapshot_lifetime.snap"));
@@ -159,6 +137,18 @@ TEST(SnapshotTest, StoreOutlivesSnapshotHandle) {
 TEST(SnapshotTest, MissingFileFails) {
   auto opened = CorpusSnapshot::Open("/no/such/snapshot.snap");
   EXPECT_FALSE(opened.ok());
+}
+
+TEST(SnapshotTest, EmptyFileIsRejectedAsTruncated) {
+  TempFile file(TempPath("simsub_snapshot_zero_bytes.snap"));
+  std::ofstream(file.path, std::ios::binary | std::ios::trunc).close();
+  ASSERT_EQ(std::filesystem::file_size(file.path), 0u);
+  auto opened = CorpusSnapshot::Open(file.path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("truncated snapshot (empty file)"),
+            std::string::npos)
+      << opened.status();
 }
 
 TEST(SnapshotTest, OpenFromBufferMatchesFileOpen) {

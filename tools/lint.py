@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: repo-specific rules the generic tools can't see.
 
-Eight rules, each encoding a contract the code base relies on:
+Nine rules, each encoding a contract the code base relies on:
 
   thread       No std::thread (or std::jthread) object use outside
                util/thread_pool.* — all parallelism goes through the
@@ -59,8 +59,16 @@ Eight rules, each encoding a contract the code base relies on:
                reused across candidates; a direct call allocates per
                candidate and hides from the cache's reuse/alloc counters.
 
-Scope: src/ only (tests may spawn raw threads to provoke races; benches may
-time whatever they like). Comments and string literals are stripped before
+  request-path No engine::QueryOptions and no MakeSearch() call in
+               tools/*.cpp. Every query a command-line tool runs is one
+               service::QuerySpec, served by a QueryService or a
+               net::Client, so the tools share the service's validation,
+               planning, deadline and participant rules instead of wiring
+               the engine themselves.
+
+Scope: the request-path rule reads tools/*.cpp; every other rule reads
+src/ only (tests may spawn raw threads to provoke races; benches may time
+whatever they like). Comments and string literals are stripped before
 matching, so documentation may mention the banned spellings freely.
 
 Usage:
@@ -355,9 +363,36 @@ def check_evaluator(rel, text):
     return out
 
 
-RULES = (check_thread, check_min_list, check_determinism, check_nodiscard,
-         check_raw_io, check_decode_cast, check_decode_bounds,
-         check_evaluator)
+# --- rule: request-path -----------------------------------------------------
+
+REQUEST_PATH_RE = re.compile(r"\bQueryOptions\b|\bMakeSearch\s*\(")
+
+
+def check_request_path(rel, text):
+    out = []
+    for match in REQUEST_PATH_RE.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        out.append(finding(
+            rel, line, "request-path",
+            f"{match.group(0).rstrip('( ')} in a command-line tool — build "
+            "a service::QuerySpec and serve it through QueryService or "
+            "net::Client, so every tool query takes the service's one "
+            "request path"))
+    return out
+
+
+SRC_RULES = (check_thread, check_min_list, check_determinism,
+             check_nodiscard, check_raw_io, check_decode_cast,
+             check_decode_bounds, check_evaluator)
+TOOL_RULES = (check_request_path,)
+RULES = SRC_RULES + TOOL_RULES
+
+
+def lint_file(root, path, rules):
+    rel = os.path.relpath(path, root)
+    with open(path, encoding="utf-8") as f:
+        text = strip_comments_and_strings(f.read())
+    return [f for rule in rules for f in rule(rel, text)]
 
 
 def lint_tree(root):
@@ -367,14 +402,15 @@ def lint_tree(root):
         sys.exit(f"error: {src} does not exist — pass --root at a repo root")
     for dirpath, _, filenames in os.walk(src):
         for name in sorted(filenames):
-            if not name.endswith(SOURCE_EXTENSIONS):
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            with open(path, encoding="utf-8") as f:
-                text = strip_comments_and_strings(f.read())
-            for rule in RULES:
-                findings.extend(rule(rel, text))
+            if name.endswith(SOURCE_EXTENSIONS):
+                findings.extend(lint_file(root, os.path.join(dirpath, name),
+                                          SRC_RULES))
+    tools = os.path.join(root, "tools")
+    if os.path.isdir(tools):
+        for name in sorted(os.listdir(tools)):
+            if name.endswith(".cpp"):
+                findings.extend(lint_file(root, os.path.join(tools, name),
+                                          TOOL_RULES))
     return findings
 
 
@@ -458,6 +494,15 @@ double Scan(const SimilarityMeasure& m, EvaluatorCache& cache, Span q) {
 }
 // NewEvaluator( in a comment must not trip
 """),
+    ("request-path", "tools/query_tool.cpp", """
+int Query(SimSubEngine& engine, const SimilarityMeasure* m, Span q) {
+  engine::QueryOptions options;  // violation: the tool wires the engine
+  auto search = algo::MakeSearch("exacts", m, {});  // violation
+  service::QuerySpec spec;  // ok
+  return engine.Query(q, **search, options).results.size();
+}
+// MakeSearch( and QueryOptions in a comment must not trip
+"""),
 ]
 
 CLEAN_FILE = ("src/geo/clean.cc", """
@@ -471,6 +516,7 @@ def self_test():
     failures = []
     for rule_name, rel, content in SELF_TEST_CASES:
         with tempfile.TemporaryDirectory() as tmp:
+            os.makedirs(os.path.join(tmp, "src"), exist_ok=True)
             path = os.path.join(tmp, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
@@ -529,7 +575,7 @@ def main():
         for f in findings:
             print(f"  {f}")
         return 1
-    print("lint passed: src/ upholds all project invariants "
+    print("lint passed: src/ and tools/ uphold all project invariants "
           f"({', '.join(r.__name__.removeprefix('check_') for r in RULES)})")
     return 0
 

@@ -11,18 +11,18 @@
 //   simsub_cli query    --snapshot=city.snap --batch --batch_size=64
 //                       --threads=8 --plan=auto --algo=pss --deadline_ms=50
 //
-// The query subcommand runs the chosen algorithm (--algo, any
-// algo::MakeSearch name plus "topk-sub") over the whole database through
-// the engine (R-tree pruned) and prints the top-k matches. With --snapshot
-// the database comes from a mmap'd columnar snapshot (see data/snapshot.h)
-// instead of a CSV parse: the engine's SoA reads are zero-copy over the
-// mapping and the MBR cache and planner statistics load from the persisted
-// sections. With --batch it samples a query workload, wraps every query in
-// a declarative service::QuerySpec (measure + algorithm names resolved and
-// cached inside the service, optional per-request --deadline_ms), serves it
-// through QueryService::SubmitBatch (planner-chosen pruning, persistent
-// worker pool, reused evaluator scratch), and prints throughput plus
-// queueing vs execution tail latency.
+// Every query is one declarative service::QuerySpec (--algo is any
+// algo::MakeSearch name plus "topk-sub"), served the same way in every
+// mode: --plan, --deadline_ms and --prune mean the same everywhere, and
+// --threads sizes the service pool of both local modes. By default an
+// in-process QueryService of --threads workers answers the spec (Submit;
+// idle workers join its scan); --batch serves a sampled workload of specs
+// through SubmitBatch and prints throughput plus queueing vs execution
+// tail latency; --connect sends the spec to a running simsub_server. With
+// --snapshot the database comes from a mmap'd columnar snapshot (see
+// data/snapshot.h) instead of a CSV parse: the engine's SoA reads are
+// zero-copy over the mapping and the MBR cache and planner statistics
+// load from the persisted sections.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "algo/registry.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "data/snapshot.h"
@@ -55,6 +54,14 @@ using namespace simsub;
 int Fail(const util::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// Refuses a flag value below its minimum before any library call sees it.
+util::Status CheckAtLeast(const char* flag, int64_t value, int64_t min) {
+  if (value >= min) return util::Status::OK();
+  return util::Status::InvalidArgument("--" + std::string(flag) +
+                                       " must be >= " + std::to_string(min) +
+                                       ", got " + std::to_string(value));
 }
 
 /// Splits "host:port" (dotted-quad host) for --connect flags.
@@ -84,6 +91,7 @@ int RunGenerate(int argc, char** argv) {
   flags.AddInt("seed", &seed, "generator seed");
   flags.AddString("out", &out, "output CSV path");
   if (auto st = flags.Parse(argc, argv); !st.ok()) return Fail(st);
+  if (auto st = CheckAtLeast("count", count, 1); !st.ok()) return Fail(st);
 
   auto kind = data::DatasetKindFromName(kind_name);
   if (!kind.ok()) return Fail(kind.status());
@@ -159,9 +167,17 @@ int RunTrain(int argc, char** argv) {
   flags.AddInt("seed", &seed, "training seed");
   flags.AddString("out", &out, "output policy path");
   if (auto st = flags.Parse(argc, argv); !st.ok()) return Fail(st);
+  for (const util::Status& st :
+       {CheckAtLeast("episodes", episodes, 1), CheckAtLeast("skip", skip, 0)}) {
+    if (!st.ok()) return Fail(st);
+  }
 
   auto dataset = LoadDataset(data_path, kind_name);
   if (!dataset.ok()) return Fail(dataset.status());
+  if (dataset->trajectories.empty()) {
+    return Fail(util::Status::InvalidArgument("no trajectories to train on in " +
+                                              data_path));
+  }
   auto measure = similarity::MakeMeasure(measure_name);
   if (!measure.ok()) return Fail(measure.status());
 
@@ -185,6 +201,48 @@ int RunTrain(int argc, char** argv) {
   return 0;
 }
 
+/// Copies trajectory `id` out of the database (from the snapshot's columns
+/// when one is open): the service consumes the database itself.
+util::Result<geo::Trajectory> FindTrajectory(
+    const data::CorpusSnapshot* snapshot, const data::Dataset& dataset,
+    int64_t id) {
+  if (snapshot != nullptr) {
+    const std::vector<int64_t>& ids = snapshot->ids();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] == id) return snapshot->MaterializeTrajectory(i);
+    }
+  } else {
+    for (const geo::Trajectory& t : dataset.trajectories) {
+      if (t.id() == id) return t;
+    }
+  }
+  return util::Status::NotFound("no trajectory with id " + std::to_string(id));
+}
+
+/// Prints one answered query, local or remote: a summary line, then one
+/// "  trajectory" line per result. A non-OK report fails the run.
+int PrintReport(const engine::QueryReport& report,
+                const service::QuerySpec& spec, const std::string& via) {
+  if (!report.status.ok()) return Fail(report.status);
+  std::printf(
+      "%s/%s via %s: %.1f ms exec + %.1f ms queued (plan=%s, %lld scanned, "
+      "%lld pruned, %lld lb-skipped, %lld dp-abandoned)\n",
+      spec.algorithm.c_str(), spec.measure.c_str(), via.c_str(),
+      report.seconds * 1e3, report.queue_seconds * 1e3,
+      engine::PruningFilterName(report.filter_used),
+      static_cast<long long>(report.trajectories_scanned),
+      static_cast<long long>(report.trajectories_pruned),
+      static_cast<long long>(report.lb_skipped),
+      static_cast<long long>(report.dp_abandoned));
+  for (const auto& hit : report.results) {
+    std::printf("  trajectory %6lld  range [%4lld, %4lld]  distance %.3f\n",
+                static_cast<long long>(hit.trajectory_id),
+                static_cast<long long>(hit.range.start),
+                static_cast<long long>(hit.range.end), hit.distance);
+  }
+  return 0;
+}
+
 int RunQuery(int argc, char** argv) {
   std::string data_path = "dataset.csv";
   std::string snapshot_path;
@@ -195,7 +253,6 @@ int RunQuery(int argc, char** argv) {
   int64_t query_id = 0;
   int topk = 5;
   int threads = 1;
-  bool use_index = true;
   bool prune = true;
   bool batch = false;
   int batch_size = 16;
@@ -220,22 +277,22 @@ int RunQuery(int argc, char** argv) {
   flags.AddInt("query_id", &query_id, "trajectory id used as the query");
   flags.AddInt("topk", &topk, "number of results");
   flags.AddInt("threads", &threads,
-               "parallel scan width (batch: worker pool size)");
-  flags.AddBool("index", &use_index, "use the R-tree filter");
+               "service worker pool size (>= 1); one scan takes up to this "
+               "many participants");
   flags.AddBool("prune", &prune,
                 "lower-bound pruning cascade (results are identical either "
                 "way; --prune=false measures the unpruned scan)");
   flags.AddBool("batch", &batch,
                 "serve a sampled query batch through the QueryService's "
-                "async QuerySpec API");
+                "async SubmitBatch");
   flags.AddInt("batch_size", &batch_size, "queries per batch (with --batch)");
   flags.AddInt("batch_seed", &batch_seed, "batch sampling seed");
   flags.AddDouble("deadline_ms", &deadline_ms,
-                  "per-request deadline for --batch; requests still queued "
-                  "past it return DeadlineExceeded instead of running "
-                  "(0 = none)");
+                  "per-request deadline, enforced in the queue and mid-scan: "
+                  "a request past it returns DeadlineExceeded (0 = none)");
   flags.AddString("plan", &plan,
-                  "pruning filter for --batch: auto | none | rtree | grid");
+                  "pruning filter: auto (the planner picks per query) | "
+                  "none | rtree | grid");
   flags.AddString("connect", &connect,
                   "serve the query remotely through a running simsub_server "
                   "at host:port; --data/--snapshot supplies only the query "
@@ -248,6 +305,31 @@ int RunQuery(int argc, char** argv) {
     return Fail(util::Status::InvalidArgument(
         "--connect serves one query per call; --batch is local-only"));
   }
+  for (const util::Status& st : {CheckAtLeast("threads", threads, 1),
+                                 CheckAtLeast("batch_size", batch_size, 0)}) {
+    if (!st.ok()) return Fail(st);
+  }
+
+  // Every request is one declarative QuerySpec, served the same way in
+  // every mode: the service (local or behind --connect) resolves the
+  // measure and algorithm names, plans the filter unless --plan names one,
+  // and enforces k, the deadline and the prune flag.
+  service::QuerySpec spec;
+  spec.measure = measure_name;
+  spec.algorithm = algo_name;
+  spec.algorithm_options.rls_policy_path = policy_path;
+  spec.k = topk;
+  if (plan == "none") {
+    spec.filter = engine::PruningFilter::kNone;
+  } else if (plan == "rtree") {
+    spec.filter = engine::PruningFilter::kRTree;
+  } else if (plan == "grid") {
+    spec.filter = engine::PruningFilter::kInvertedGrid;
+  } else if (plan != "auto") {
+    return Fail(util::Status::InvalidArgument("unknown plan: " + plan));
+  }
+  spec.prune = prune;
+  spec.deadline_ms = deadline_ms;
 
   auto kind = data::DatasetKindFromName(kind_name);
   if (!kind.ok()) return Fail(kind.status());
@@ -262,156 +344,29 @@ int RunQuery(int argc, char** argv) {
     if (!loaded.ok()) return Fail(loaded.status());
     dataset = std::move(*loaded);
   }
+
+  // Take the queries out before the service consumes the database. The
+  // snapshot paths materialize only the queries from the columns, never
+  // the whole corpus.
+  std::vector<data::WorkloadPair> workload;
+  geo::Trajectory query;
   if (batch) {
-    std::optional<engine::PruningFilter> filter_override;
-    if (plan == "none") {
-      filter_override = engine::PruningFilter::kNone;
-    } else if (plan == "rtree") {
-      filter_override = engine::PruningFilter::kRTree;
-    } else if (plan == "grid") {
-      filter_override = engine::PruningFilter::kInvertedGrid;
-    } else if (plan != "auto") {
-      return Fail(util::Status::InvalidArgument("unknown plan: " + plan));
+    const size_t corpus = snapshot != nullptr ? snapshot->trajectory_count()
+                                              : dataset.trajectories.size();
+    if (corpus < 2) {
+      return Fail(util::Status::InvalidArgument(
+          "--batch samples pairs of distinct trajectories and needs at "
+          "least 2, got " + std::to_string(corpus)));
     }
-
-    // Sample query trajectories before the engine consumes the database.
-    // The snapshot overload materializes only the sampled queries from the
-    // columns, never the whole corpus.
-    std::vector<data::WorkloadPair> workload =
-        snapshot != nullptr
-            ? data::SampleWorkload(*snapshot, batch_size,
-                                   static_cast<uint64_t>(batch_seed))
-            : data::SampleWorkload(dataset, batch_size,
-                                   static_cast<uint64_t>(batch_seed));
-
-    service::ServiceOptions service_options;
-    service_options.threads = threads;
-    // QueryService pins its address (self-referential planner/pool), so
-    // construct the chosen variant in place.
-    std::optional<service::QueryService> service;
-    if (snapshot != nullptr) {
-      service.emplace(*snapshot, service_options);
-    } else {
-      service.emplace(engine::SimSubEngine(std::move(dataset.trajectories)),
-                      service_options);
-    }
-
-    // Every request is one declarative QuerySpec: the service resolves the
-    // measure/algorithm names through its registries (cached after the
-    // first request) and answers through a future.
-    std::vector<service::QuerySpec> specs;
-    specs.reserve(workload.size());
-    for (const auto& pair : workload) {
-      service::QuerySpec spec;
-      spec.points = pair.query.View();
-      spec.measure = measure_name;
-      spec.algorithm = algo_name;
-      spec.algorithm_options.rls_policy_path = policy_path;
-      spec.k = topk;
-      spec.filter = filter_override;
-      spec.prune = prune;
-      spec.deadline_ms = deadline_ms;
-      specs.push_back(spec);
-    }
-
-    util::Stopwatch timer;
-    std::vector<std::future<engine::QueryReport>> futures =
-        service->SubmitBatch(specs);
-    std::vector<engine::QueryReport> reports;
-    reports.reserve(futures.size());
-    for (auto& f : futures) reports.push_back(f.get());
-    double wall = timer.ElapsedSeconds();
-
-    std::vector<double> latencies_ms;
-    for (size_t i = 0; i < reports.size(); ++i) {
-      const auto& r = reports[i];
-      if (!r.status.ok()) {
-        std::printf("query %3zu (id %5lld): %s (queued %.2f ms)\n", i,
-                    static_cast<long long>(workload[i].query.id()),
-                    r.status.ToString().c_str(), r.queue_seconds * 1e3);
-        continue;
-      }
-      latencies_ms.push_back(r.seconds * 1e3);
-      std::printf(
-          "query %3zu (id %5lld): plan=%-5s scanned %5lld pruned %5lld "
-          "queued %6.2f ms exec %8.2f ms  best d=%.3f\n",
-          i, static_cast<long long>(workload[i].query.id()),
-          engine::PruningFilterName(r.filter_used),
-          static_cast<long long>(r.trajectories_scanned),
-          static_cast<long long>(r.trajectories_pruned),
-          r.queue_seconds * 1e3, r.seconds * 1e3,
-          r.results.empty() ? -1.0 : r.results.front().distance);
-    }
-    service::ServiceStats stats = service->stats();
-    std::printf(
-        "batch of %zu specs (%s/%s, pool=%d): %.1f ms wall, %.1f q/s, "
-        "exec p50 %.2f ms, p99 %.2f ms\n",
-        reports.size(), algo_name.c_str(), measure_name.c_str(),
-        service->pool().size(), wall * 1e3,
-        wall > 0 ? static_cast<double>(reports.size()) / wall : 0.0,
-        util::Quantile(latencies_ms, 0.5), util::Quantile(latencies_ms, 0.99));
-    std::printf(
-        "served %lld, deadline-expired %lld, rejected %lld; plans: none=%lld "
-        "rtree=%lld grid=%lld; evaluator scratch: %lld reused / %lld "
-        "allocated\n",
-        static_cast<long long>(stats.queries_served),
-        static_cast<long long>(stats.deadline_expired),
-        static_cast<long long>(stats.rejected),
-        static_cast<long long>(stats.plans_none),
-        static_cast<long long>(stats.plans_rtree),
-        static_cast<long long>(stats.plans_grid),
-        static_cast<long long>(stats.evaluator_reuses),
-        static_cast<long long>(stats.evaluator_allocs));
-    if (stats.rejected > 0) {
-      // Invalid specs (unknown measure/algorithm, bad parameters, missing
-      // policy) are per-request report statuses, but a batch that rejected
-      // anything must still fail the process for scripts keying off the
-      // exit code. Deadline expiry is an expected under-load outcome and
-      // does not fail the run.
-      std::fprintf(stderr, "error: %lld of %zu requests were rejected\n",
-                   static_cast<long long>(stats.rejected), reports.size());
-      return 1;
-    }
-    return 0;
-  }
-
-  auto measure = similarity::MakeMeasure(measure_name);
-  if (!measure.ok()) return Fail(measure.status());
-  algo::SearchOptions search_options;
-  search_options.rls_policy_path = policy_path;
-  std::unique_ptr<algo::SubtrajectorySearch> search;
-  // Remote mode resolves the algorithm (and reads any rls_policy_path)
-  // server-side; only the local path needs a search instance here.
-  if (connect.empty() && algo_name != "topk-sub") {
-    auto made = algo::MakeSearch(algo_name, measure->get(), search_options);
-    if (!made.ok()) return Fail(made.status());
-    search = std::move(*made);
-  }
-
-  geo::Trajectory query_copy;  // owned: the engine consumes the database
-  if (snapshot != nullptr) {
-    // Materialize only the query trajectory from the columns; the engine
-    // builds its own AoS database straight from the mapping.
-    const auto& ids = snapshot->ids();
-    size_t ordinal = ids.size();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == query_id) ordinal = i;
-    }
-    if (ordinal == ids.size()) {
-      return Fail(util::Status::NotFound("no trajectory with id " +
-                                         std::to_string(query_id)));
-    }
-    query_copy = snapshot->MaterializeTrajectory(ordinal);
+    const auto seed = static_cast<uint64_t>(batch_seed);
+    workload = snapshot != nullptr
+                   ? data::SampleWorkload(*snapshot, batch_size, seed)
+                   : data::SampleWorkload(dataset, batch_size, seed);
   } else {
-    const geo::Trajectory* query = nullptr;
-    for (const auto& t : dataset.trajectories) {
-      if (t.id() == query_id) query = &t;
-    }
-    if (query == nullptr) {
-      return Fail(util::Status::NotFound("no trajectory with id " +
-                                         std::to_string(query_id)));
-    }
-    query_copy = *query;
+    auto found = FindTrajectory(snapshot.get(), dataset, query_id);
+    if (!found.ok()) return Fail(found.status());
+    query = std::move(*found);
+    spec.points = query.View();
   }
 
   if (!connect.empty()) {
@@ -420,70 +375,89 @@ int RunQuery(int argc, char** argv) {
     auto client = net::Client::Connect(host_port->first, host_port->second,
                                        {.client_id = client_id});
     if (!client.ok()) return Fail(client.status());
-    service::QuerySpec spec;
-    spec.points = query_copy.View();
-    spec.measure = measure_name;
-    spec.algorithm = algo_name;
-    spec.algorithm_options.rls_policy_path = policy_path;
-    spec.k = topk;
-    spec.prune = prune;
-    spec.deadline_ms = deadline_ms;
     auto report = client->Query(spec);
     if (!report.ok()) return Fail(report.status());
-    if (!report->status.ok()) return Fail(report->status);
-    std::printf(
-        "%s/%s via %s: %.1f ms exec + %.1f ms queued (plan=%s, %lld "
-        "scanned, %lld pruned)\n",
-        algo_name.c_str(), measure_name.c_str(), connect.c_str(),
-        report->seconds * 1e3, report->queue_seconds * 1e3,
-        engine::PruningFilterName(report->filter_used),
-        static_cast<long long>(report->trajectories_scanned),
-        static_cast<long long>(report->trajectories_pruned));
-    for (const auto& hit : report->results) {
-      std::printf("  trajectory %6lld  range [%4lld, %4lld]  distance %.3f\n",
-                  static_cast<long long>(hit.trajectory_id),
-                  static_cast<long long>(hit.range.start),
-                  static_cast<long long>(hit.range.end), hit.distance);
-    }
-    return 0;
+    return PrintReport(*report, spec, connect);
   }
 
-  std::optional<engine::SimSubEngine> engine_storage;
+  // QueryService pins its address (self-referential planner/pool), so
+  // construct the chosen variant in place.
+  service::ServiceOptions service_options;
+  service_options.threads = threads;
+  std::optional<service::QueryService> service;
   if (snapshot != nullptr) {
-    engine_storage.emplace(*snapshot);
+    service.emplace(*snapshot, service_options);
   } else {
-    engine_storage.emplace(std::move(dataset.trajectories));
+    service.emplace(engine::SimSubEngine(std::move(dataset.trajectories)),
+                    service_options);
   }
-  engine::SimSubEngine& engine = *engine_storage;
-  if (use_index) engine.BuildIndex();
+  if (!batch) {
+    // The request runs on one pool worker; idle workers join its scan.
+    return PrintReport(service->Submit(spec).get(), spec,
+                       "local pool of " + std::to_string(threads));
+  }
+
+  std::vector<service::QuerySpec> specs(workload.size(), spec);
+  for (size_t i = 0; i < workload.size(); ++i) {
+    specs[i].points = workload[i].query.View();
+  }
   util::Stopwatch timer;
-  engine::QueryOptions query_options;
-  query_options.k = topk;
-  query_options.filter = use_index ? engine::PruningFilter::kRTree
-                                   : engine::PruningFilter::kNone;
-  query_options.threads = threads;
-  query_options.prune = prune;
-  engine::QueryReport report =
-      search != nullptr
-          ? engine.Query(query_copy.View(), *search, query_options)
-          : engine.QueryTopKSubtrajectories(query_copy.View(), *measure->get(),
-                                            /*min_size=*/1, query_options);
+  std::vector<std::future<engine::QueryReport>> futures =
+      service->SubmitBatch(specs);
+  std::vector<engine::QueryReport> reports;
+  reports.reserve(futures.size());
+  for (auto& f : futures) reports.push_back(f.get());
+  double wall = timer.ElapsedSeconds();
+
+  std::vector<double> latencies_ms;
+  for (size_t i = 0; i < reports.size(); ++i) {
+    const auto& r = reports[i];
+    if (!r.status.ok()) {
+      std::printf("query %3zu (id %5lld): %s (queued %.2f ms)\n", i,
+                  static_cast<long long>(workload[i].query.id()),
+                  r.status.ToString().c_str(), r.queue_seconds * 1e3);
+      continue;
+    }
+    latencies_ms.push_back(r.seconds * 1e3);
+    std::printf(
+        "query %3zu (id %5lld): plan=%-5s scanned %5lld pruned %5lld "
+        "queued %6.2f ms exec %8.2f ms  best d=%.3f\n",
+        i, static_cast<long long>(workload[i].query.id()),
+        engine::PruningFilterName(r.filter_used),
+        static_cast<long long>(r.trajectories_scanned),
+        static_cast<long long>(r.trajectories_pruned),
+        r.queue_seconds * 1e3, r.seconds * 1e3,
+        r.results.empty() ? -1.0 : r.results.front().distance);
+  }
+  service::ServiceStats stats = service->stats();
   std::printf(
-      "%s/%s over %lld trajectories: %.1f ms (%lld scanned, %lld pruned, "
-      "%lld lb-skipped, %lld dp-abandoned)\n",
-      search != nullptr ? search->name().c_str() : "topk-sub",
-      measure_name.c_str(),
-      static_cast<long long>(engine.database().size()),
-      timer.ElapsedMillis(),
-      static_cast<long long>(report.trajectories_scanned),
-      static_cast<long long>(report.trajectories_pruned),
-      static_cast<long long>(report.lb_skipped),
-      static_cast<long long>(report.dp_abandoned));
-  for (const auto& hit : report.results) {
-    std::printf("  trajectory %6lld  range [%4lld, %4lld]  distance %.3f\n",
-                static_cast<long long>(hit.trajectory_id),
-                static_cast<long long>(hit.range.start),
-                static_cast<long long>(hit.range.end), hit.distance);
+      "batch of %zu specs (%s/%s, pool=%d): %.1f ms wall, %.1f q/s, "
+      "exec p50 %.2f ms, p99 %.2f ms\n",
+      reports.size(), algo_name.c_str(), measure_name.c_str(),
+      service->pool().size(), wall * 1e3,
+      wall > 0 ? static_cast<double>(reports.size()) / wall : 0.0,
+      util::Quantile(latencies_ms, 0.5), util::Quantile(latencies_ms, 0.99));
+  std::printf(
+      "served %lld, deadline-expired %lld, rejected %lld; plans: none=%lld "
+      "rtree=%lld grid=%lld; evaluator scratch: %lld reused / %lld "
+      "allocated\n",
+      static_cast<long long>(stats.queries_served),
+      static_cast<long long>(stats.deadline_expired),
+      static_cast<long long>(stats.rejected),
+      static_cast<long long>(stats.plans_none),
+      static_cast<long long>(stats.plans_rtree),
+      static_cast<long long>(stats.plans_grid),
+      static_cast<long long>(stats.evaluator_reuses),
+      static_cast<long long>(stats.evaluator_allocs));
+  if (stats.rejected > 0) {
+    // Invalid specs (unknown measure/algorithm, bad parameters, missing
+    // policy) are per-request report statuses, but a batch that rejected
+    // anything must still fail the process for scripts keying off the
+    // exit code. Deadline expiry is an expected under-load outcome and
+    // does not fail the run.
+    std::fprintf(stderr, "error: %lld of %zu requests were rejected\n",
+                 static_cast<long long>(stats.rejected), reports.size());
+    return 1;
   }
   return 0;
 }

@@ -156,6 +156,11 @@ int main(int argc, char** argv) {
                 "loopback self-test: generate a small database, serve it on "
                 "an ephemeral port, verify the wire stack, exit");
   if (auto st = flags.Parse(argc, argv); !st.ok()) return Fail(st);
+  if (max_connections < 1) {
+    return Fail(util::Status::InvalidArgument(
+        "--max_connections must be >= 1, got " +
+        std::to_string(max_connections)));
+  }
 
   if (smoke) {
     generate = generate > 0 ? generate : 64;
@@ -163,7 +168,12 @@ int main(int argc, char** argv) {
     host = "127.0.0.1";
   }
 
-  // Build the database: synthetic, snapshot, or CSV.
+  // Build the database: synthetic, snapshot, or CSV. The engine needs at
+  // least one trajectory; an empty file is refused here.
+  auto nothing_to_serve = [](const std::string& path) {
+    return Fail(util::Status::InvalidArgument("no trajectories to serve in " +
+                                              path));
+  };
   geo::Trajectory first_query;  // kept for --smoke before the engine eats it
   std::optional<service::QueryService> service;
   service::ServiceOptions service_options;
@@ -191,12 +201,16 @@ int main(int argc, char** argv) {
     }
     auto snapshot = data::CorpusSnapshot::Open(snapshot_path);
     if (!snapshot.ok()) return Fail(snapshot.status());
+    if ((*snapshot)->trajectory_count() == 0) {
+      return nothing_to_serve(snapshot_path);
+    }
     service.emplace(**snapshot, service_options);
   } else if (!data_path.empty()) {
     auto kind = data::DatasetKindFromName(kind_name);
     if (!kind.ok()) return Fail(kind.status());
     auto dataset = data::LoadCsv(data_path, kind_name, *kind);
     if (!dataset.ok()) return Fail(dataset.status());
+    if (dataset->trajectories.empty()) return nothing_to_serve(data_path);
     service.emplace(engine::SimSubEngine(std::move(dataset->trajectories)),
                     service_options);
   } else {
