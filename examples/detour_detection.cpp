@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
               trainer.report().gradient_steps);
 
   engine::SimSubEngine engine(city.trajectories);
-  engine.BuildIndex();
 
   algo::ExactS exact(&dtw);
   algo::RlsSearch rls(&dtw, policy);

@@ -17,6 +17,7 @@
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace simsub::engine {
@@ -53,6 +54,9 @@ std::vector<TopKEntry> ExtractAscending(TopKHeap& heap) {
 /// Window slots per participant: how far a participant may search ahead of
 /// the oldest uncommitted candidate.
 constexpr size_t kLookaheadPerParticipant = 8;
+
+/// Cells per axis of the inverted grid over the database extent.
+constexpr int kGridCells = 64;
 
 /// Admission of pool helpers into one running scan. Heap-held and shared
 /// with every helper task, so a helper that a busy pool dequeues after the
@@ -273,7 +277,7 @@ bool EntryBetter(const TopKEntry& a, const TopKEntry& b) {
 }
 
 SimSubEngine::SimSubEngine(std::vector<geo::Trajectory> database)
-    : database_(std::move(database)), soa_(std::make_unique<SoaCache>()) {
+    : database_(std::move(database)) {
   SIMSUB_CHECK(!database_.empty());
   mbrs_.reserve(database_.size());
   for (const auto& t : database_) {
@@ -286,21 +290,14 @@ SimSubEngine::SimSubEngine(const data::CorpusSnapshot& snapshot)
     : database_(snapshot.MaterializeTrajectories()),
       mbrs_(snapshot.mbrs()),
       corpus_stats_(snapshot.stats()),
-      store_(snapshot.store()),
-      soa_(std::make_unique<SoaCache>()) {
+      store_(snapshot.store()) {
   SIMSUB_CHECK(!database_.empty());
 }
 
-const geo::PointsStore& SimSubEngine::EnsureSoa() const {
+const geo::PointsStore& SimSubEngine::Soa() const {
   if (store_ != nullptr) return *store_;
-  if (!soa_->ready.load(std::memory_order_acquire)) {
-    util::MutexLock lock(soa_->mu);
-    if (!soa_->ready.load(std::memory_order_relaxed)) {
-      soa_->store = geo::PointsStore::FromTrajectories(database_);
-      soa_->ready.store(true, std::memory_order_release);
-    }
-  }
-  return soa_->published();
+  return derived_->soa.Get(
+      [&] { return geo::PointsStore::FromTrajectories(database_); });
 }
 
 int64_t SimSubEngine::TotalPoints() const {
@@ -309,39 +306,30 @@ int64_t SimSubEngine::TotalPoints() const {
   return total;
 }
 
-void SimSubEngine::BuildIndex() {
-  if (index_.has_value()) return;
-  std::vector<index::RTreeEntry> entries;
-  entries.reserve(database_.size());
-  for (size_t i = 0; i < database_.size(); ++i) {
-    entries.push_back(index::RTreeEntry{mbrs_[i], static_cast<int64_t>(i)});
-  }
-  index_ = index::RTree::BulkLoad(std::move(entries));
-}
-
-void SimSubEngine::BuildInvertedIndex(int cols, int rows) {
-  if (inverted_.has_value()) return;
-  // The corpus extent hydrates from construction-time statistics — persisted
-  // envelope stats when the engine sits on a snapshot — instead of being
-  // re-folded from the MBR cache here.
-  inverted_ = index::InvertedGridIndex::Build(database_, corpus_stats_.extent,
-                                              cols, rows);
-}
-
 std::vector<int64_t> SimSubEngine::CandidateOrdinals(
     std::span<const geo::Point> query, PruningFilter filter) const {
   switch (filter) {
     case PruningFilter::kRTree: {
-      SIMSUB_CHECK(index_.has_value()) << "BuildIndex() before R-tree query";
-      std::vector<int64_t> out =
-          index_->QueryIntersects(geo::ComputeMbr(query));
+      const index::RTree& rtree = derived_->rtree.Get([&] {
+        std::vector<index::RTreeEntry> entries;
+        entries.reserve(mbrs_.size());
+        for (size_t i = 0; i < mbrs_.size(); ++i) {
+          entries.push_back({mbrs_[i], static_cast<int64_t>(i)});
+        }
+        return index::RTree::BulkLoad(std::move(entries));
+      });
+      std::vector<int64_t> out = rtree.QueryIntersects(geo::ComputeMbr(query));
       std::sort(out.begin(), out.end());
       return out;
     }
     case PruningFilter::kInvertedGrid: {
-      SIMSUB_CHECK(inverted_.has_value())
-          << "BuildInvertedIndex() before grid query";
-      return inverted_->QueryCandidates(query);
+      // The extent comes from the construction-time statistics (persisted
+      // ones when the engine sits on a snapshot).
+      const index::InvertedGridIndex& grid = derived_->grid.Get([&] {
+        return index::InvertedGridIndex::Build(database_, corpus_stats_.extent,
+                                               kGridCells, kGridCells);
+      });
+      return grid.QueryCandidates(query);
     }
     case PruningFilter::kNone:
       break;
@@ -383,11 +371,13 @@ QueryReport SimSubEngine::Scan(std::span<const geo::Point> query,
   // keep ordinal order; their bound of -inf never stops them.
   std::vector<std::pair<double, int64_t>> order;
   order.reserve(candidates.size());
+  const geo::PointsStore* soa = best_first ? &Soa() : nullptr;
   for (int64_t ordinal : candidates) {
-    if (database_[static_cast<size_t>(ordinal)].empty()) continue;
+    const auto i = static_cast<size_t>(ordinal);
+    if (database_[i].empty()) continue;
     double bound = -kInf;
-    if (best_first) {
-      bound = algo::NearestEndpointLowerBound(agg, TrajectorySoa(ordinal),
+    if (soa != nullptr) {
+      bound = algo::NearestEndpointLowerBound(agg, soa->TrajectoryView(i),
                                               query);
       // A NaN coordinate gives no bound; 0 keeps the sort order strict.
       if (!(bound >= 0.0)) bound = 0.0;

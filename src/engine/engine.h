@@ -2,6 +2,9 @@
 // and Section 6.2 experiments 2-4): scan the data trajectories — optionally
 // pruned by a bounding-box R-tree or an inverted grid — run a per-trajectory
 // SimSub algorithm, and maintain the top-k most similar subtrajectories.
+// The engine owns every structure derived from its database and builds
+// each on first use: the R-tree and the grid on the first query that asks
+// for that filter, the SoA coordinate store on the first best-first scan.
 //
 // Query (one answer per data trajectory) and QueryTopKSubtrajectories (any
 // number per trajectory) share one scan loop. With a sum- or max-aggregating
@@ -32,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -44,7 +48,6 @@
 #include "index/rtree.h"
 #include "similarity/measure.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace simsub::data {
 class CorpusSnapshot;
@@ -184,7 +187,8 @@ struct BatchQueryOptions {
   bool prune = true;
 };
 
-/// An immutable trajectory database with optional index acceleration.
+/// An immutable trajectory database with index acceleration built on
+/// first use.
 class SimSubEngine {
  public:
   explicit SimSubEngine(std::vector<geo::Trajectory> database);
@@ -201,15 +205,6 @@ class SimSubEngine {
   const std::vector<geo::Trajectory>& database() const { return database_; }
   int64_t TotalPoints() const;
 
-  /// Builds the MBR R-tree (idempotent).
-  void BuildIndex();
-  bool has_index() const { return index_.has_value(); }
-
-  /// Builds the inverted grid index (idempotent); cols x rows cells over
-  /// the database extent.
-  void BuildInvertedIndex(int cols = 64, int rows = 64);
-  bool has_inverted_index() const { return inverted_.has_value(); }
-
   /// Runs `search` over every candidate data trajectory and returns the k
   /// best subtrajectories (one candidate per data trajectory, as each
   /// trajectory contributes its own most-similar subtrajectory).
@@ -217,7 +212,9 @@ class SimSubEngine {
   /// With PruningFilter::kRTree, trajectories whose MBR does not intersect
   /// the query's MBR are pruned — the paper's bounding-box filter, which
   /// may rarely drop true answers. With kInvertedGrid, trajectories sharing
-  /// no grid cell with the query are pruned. Results,
+  /// no cell of a 64 x 64 grid over the database extent with the query are
+  /// pruned. The first query with a filter builds its index (thread-safe;
+  /// concurrent first callers wait for the one build). Results,
   /// trajectories_scanned and lb_skipped are identical for any `threads`
   /// value. An exception from any participant's search is rethrown here,
   /// after every helper that joined has stopped.
@@ -253,7 +250,7 @@ class SimSubEngine {
       const QueryOptions& options) const;
 
   /// Cached per-trajectory MBRs (built at construction — tiny, and shared
-  /// by the index builders and callers of algo::MbrLowerBound).
+  /// by the R-tree build and callers of algo::MbrLowerBound).
   const geo::Mbr& TrajectoryMbr(int64_t ordinal) const {
     return mbrs_[static_cast<size_t>(ordinal)];
   }
@@ -269,7 +266,7 @@ class SimSubEngine {
   /// Thread-safe; concurrent first callers block until the one-time build
   /// finishes.
   geo::PointsView TrajectorySoa(int64_t ordinal) const {
-    return EnsureSoa().TrajectoryView(static_cast<size_t>(ordinal));
+    return Soa().TrajectoryView(static_cast<size_t>(ordinal));
   }
 
   /// Corpus-level statistics for the planner's selectivity model. Loaded
@@ -298,29 +295,34 @@ class SimSubEngine {
                    const similarity::SimilarityMeasure* measure,
                    const QueryOptions& options, const Step& step) const;
 
-  /// Lazily-built owning SoA store (CSV/in-memory construction path only).
-  /// Heap-held so the engine stays movable (util::Mutex is neither movable
-  /// nor copyable). `store` is written exactly once, under `mu`, and then
-  /// published through the `ready` flag: writers release-store `ready`
-  /// after filling `store`, readers acquire-load it before touching
-  /// `store`, so the post-publication unlocked reads are race-free.
-  struct SoaCache {
-    util::Mutex mu;
-    std::atomic<bool> ready{false};
-    geo::PointsStore store SIMSUB_GUARDED_BY(mu);
-
-    /// Unlocked access for readers that observed `ready` (acquire). The
-    /// analysis cannot see the atomic publication, hence the suppression;
-    /// the safety argument lives on the members above.
-    const geo::PointsStore& published() const
-        SIMSUB_NO_THREAD_SAFETY_ANALYSIS {
-      return store;
+  /// A value built at most once, by the first Get: concurrent first
+  /// callers wait for that build, and a build that throws leaves the value
+  /// unbuilt for the next caller (std::call_once).
+  template <typename T>
+  class BuiltOnce {
+   public:
+    template <typename Build>
+    const T& Get(const Build& build) {
+      std::call_once(once_, [&] { value_.emplace(build()); });
+      return *value_;
     }
+
+   private:
+    std::once_flag once_;
+    std::optional<T> value_;
   };
 
-  /// Returns the mapped store when one backs the engine; otherwise builds
-  /// the owning store on first use (double-checked under SoaCache::mu).
-  const geo::PointsStore& EnsureSoa() const;
+  /// The structures derived from the database on first use. Heap-held so
+  /// the engine stays movable (std::once_flag is not).
+  struct Derived {
+    BuiltOnce<geo::PointsStore> soa;  // in-memory construction path only
+    BuiltOnce<index::RTree> rtree;
+    BuiltOnce<index::InvertedGridIndex> grid;
+  };
+
+  /// The mapped store when one backs the engine, else the owning store,
+  /// built on first use.
+  const geo::PointsStore& Soa() const;
 
   std::vector<geo::Trajectory> database_;
   std::vector<geo::Mbr> mbrs_;  // one per trajectory
@@ -328,9 +330,7 @@ class SimSubEngine {
   /// Zero-copy SoA columns over a mapped snapshot (null for the in-memory
   /// construction path; shares ownership of the file mapping).
   std::shared_ptr<const geo::PointsStore> store_;
-  std::unique_ptr<SoaCache> soa_;  // lazy; see TrajectorySoa
-  std::optional<index::RTree> index_;
-  std::optional<index::InvertedGridIndex> inverted_;
+  std::unique_ptr<Derived> derived_ = std::make_unique<Derived>();
 };
 
 }  // namespace simsub::engine

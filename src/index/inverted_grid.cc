@@ -1,7 +1,6 @@
 #include "index/inverted_grid.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -10,19 +9,17 @@ namespace simsub::index {
 InvertedGridIndex InvertedGridIndex::Build(
     std::span<const geo::Trajectory> trajectories, const geo::Mbr& extent,
     int cols, int rows) {
-  SIMSUB_CHECK(!extent.IsEmpty());
   SIMSUB_CHECK_GT(cols, 0);
   SIMSUB_CHECK_GT(rows, 0);
   InvertedGridIndex index;
   index.extent_ = extent;
-  index.cols_ = cols;
-  index.rows_ = rows;
-  index.cell_w_ = extent.Width() / cols;
-  index.cell_h_ = extent.Height() / rows;
-  SIMSUB_CHECK_GT(index.cell_w_, 0.0);
-  SIMSUB_CHECK_GT(index.cell_h_, 0.0);
-  index.indexed_count_ = trajectories.size();
-  index.postings_.resize(static_cast<size_t>(cols) * rows);
+  // An axis without length gets one cell, into which the clamp in CellOf
+  // maps every coordinate whatever the cell size.
+  index.cols_ = extent.Width() > 0.0 ? cols : 1;
+  index.rows_ = extent.Height() > 0.0 ? rows : 1;
+  index.cell_w_ = extent.Width() > 0.0 ? extent.Width() / cols : 1.0;
+  index.cell_h_ = extent.Height() > 0.0 ? extent.Height() / rows : 1.0;
+  index.postings_.resize(static_cast<size_t>(index.cols_) * index.rows_);
   for (size_t ordinal = 0; ordinal < trajectories.size(); ++ordinal) {
     for (int cell : index.CellsOf(trajectories[ordinal].View())) {
       index.postings_[static_cast<size_t>(cell)].push_back(
@@ -51,20 +48,14 @@ std::vector<int> InvertedGridIndex::CellsOf(
 }
 
 std::vector<int64_t> InvertedGridIndex::QueryCandidates(
-    std::span<const geo::Point> query, int min_shared_cells) const {
-  SIMSUB_CHECK_GE(min_shared_cells, 1);
-  std::unordered_map<int64_t, int> shared;
-  for (int cell : CellsOf(query)) {
-    for (int64_t ordinal : postings_[static_cast<size_t>(cell)]) {
-      ++shared[ordinal];
-    }
-  }
+    std::span<const geo::Point> query) const {
   std::vector<int64_t> out;
-  out.reserve(shared.size());
-  for (const auto& [ordinal, count] : shared) {
-    if (count >= min_shared_cells) out.push_back(ordinal);
+  for (int cell : CellsOf(query)) {
+    const std::vector<int64_t>& posting = postings_[static_cast<size_t>(cell)];
+    out.insert(out.end(), posting.begin(), posting.end());
   }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -3,10 +3,10 @@
 // index and the inverted-file based index for pruning").
 //
 // Each trajectory posts into the list of every grid cell it touches; a
-// query retrieves the trajectories sharing at least `min_shared_cells`
-// cells with it. Unlike the MBR filter, this prunes trajectories whose
-// bounding boxes overlap the query's but whose actual paths never come
-// near it.
+// query retrieves the trajectories sharing at least one cell with it.
+// Unlike the MBR filter, this prunes trajectories whose bounding boxes
+// overlap the query's but whose actual paths never come near it. The
+// engine builds its grid on the first query that asks for this filter.
 #ifndef SIMSUB_INDEX_INVERTED_GRID_H_
 #define SIMSUB_INDEX_INVERTED_GRID_H_
 
@@ -23,14 +23,11 @@ namespace simsub::index {
 class InvertedGridIndex {
  public:
   /// Builds over `trajectories` with a cols x rows grid covering `extent`
-  /// (points outside clamp to border cells).
+  /// (points outside clamp to border cells). An axis the extent has no
+  /// length on (one point, or every point on one line) gets one cell.
   static InvertedGridIndex Build(
       std::span<const geo::Trajectory> trajectories, const geo::Mbr& extent,
       int cols, int rows);
-
-  int cols() const { return cols_; }
-  int rows() const { return rows_; }
-  size_t indexed_count() const { return indexed_count_; }
 
   /// Cell id of a point (clamped).
   int CellOf(const geo::Point& p) const;
@@ -38,10 +35,9 @@ class InvertedGridIndex {
   /// Distinct cells touched by a point sequence.
   std::vector<int> CellsOf(std::span<const geo::Point> pts) const;
 
-  /// Ordinals (positions in the build span) of trajectories sharing at
-  /// least `min_shared_cells` distinct cells with the query. Sorted.
-  std::vector<int64_t> QueryCandidates(std::span<const geo::Point> query,
-                                       int min_shared_cells = 1) const;
+  /// Ordinals (positions in the build span) of trajectories sharing a
+  /// cell with the query: the sorted union of the query cells' postings.
+  std::vector<int64_t> QueryCandidates(std::span<const geo::Point> query) const;
 
  private:
   InvertedGridIndex() = default;
@@ -51,7 +47,6 @@ class InvertedGridIndex {
   int rows_ = 0;
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
-  size_t indexed_count_ = 0;
   // postings_[cell] = sorted trajectory ordinals that touch the cell.
   std::vector<std::vector<int64_t>> postings_;
 };

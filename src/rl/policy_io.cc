@@ -1,8 +1,11 @@
 #include "rl/policy_io.h"
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
+#include <sstream>
+#include <utility>
+
+#include "util/io.h"
 
 namespace simsub::rl {
 
@@ -62,15 +65,16 @@ util::Result<TrainedPolicy> LoadPolicy(std::istream& is) {
 
 util::Status SavePolicyToFile(const TrainedPolicy& policy,
                               const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return util::Status::IOError("cannot open for writing: " + path);
-  return SavePolicy(policy, out);
+  std::ostringstream os;
+  SIMSUB_RETURN_IF_ERROR(SavePolicy(policy, os));
+  return util::io::WriteStringToFile(path, os.str());
 }
 
 util::Result<TrainedPolicy> LoadPolicyFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return util::Status::IOError("cannot open for reading: " + path);
-  return LoadPolicy(in);
+  auto text = util::io::ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  std::istringstream is(std::move(*text));
+  return LoadPolicy(is);
 }
 
 }  // namespace simsub::rl

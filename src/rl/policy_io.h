@@ -18,7 +18,7 @@ namespace simsub::rl {
 /// Reads a policy written by SavePolicy.
 [[nodiscard]] util::Result<TrainedPolicy> LoadPolicy(std::istream& is);
 
-/// File conveniences.
+/// File conveniences over util::io: a failed save leaves no file behind.
 [[nodiscard]] util::Status SavePolicyToFile(const TrainedPolicy& policy,
                               const std::string& path);
 [[nodiscard]] util::Result<TrainedPolicy> LoadPolicyFromFile(const std::string& path);

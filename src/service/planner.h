@@ -9,6 +9,8 @@
 // would keep and picks the filter from that estimate and the database
 // statistics collected once at construction — the Tunable-LSH idea of
 // adapting the access path to the observed workload rather than fixing it.
+// It is a pure function of those statistics and the query: the engine
+// builds whichever index the chosen filter needs on first use.
 #ifndef SIMSUB_SERVICE_PLANNER_H_
 #define SIMSUB_SERVICE_PLANNER_H_
 
@@ -17,6 +19,7 @@
 #include "engine/engine.h"
 #include "geo/mbr.h"
 #include "geo/point.h"
+#include "geo/points_store.h"
 
 namespace simsub::service {
 
@@ -38,10 +41,11 @@ class QueryPlanner {
   /// stronger (but per-candidate costlier) inverted-grid filter pays off.
   static constexpr double kGridThreshold = 0.35;
 
-  /// Reads the database statistics (extent, mean trajectory MBR dimensions)
-  /// collected — or, for snapshot-backed engines, loaded from the persisted
-  /// header — at engine construction. `engine` must outlive the planner.
-  explicit QueryPlanner(const engine::SimSubEngine& engine);
+  /// Plans over the database statistics (extent, mean trajectory MBR
+  /// dimensions) the engine collects — or, for snapshot-backed engines,
+  /// loads from the persisted header — at construction
+  /// (engine::SimSubEngine::corpus_stats()).
+  explicit QueryPlanner(const geo::CorpusStats& stats) : stats_(stats) {}
 
   /// Picks the filter for one query.
   PlanDecision Plan(std::span<const geo::Point> query) const;
@@ -51,15 +55,14 @@ class QueryPlanner {
   double EstimateMbrSelectivity(const geo::Mbr& query_mbr) const;
 
   // Database statistics, exposed for tests and diagnostics.
-  const geo::Mbr& extent() const { return extent_; }
-  double mean_trajectory_width() const { return mean_traj_width_; }
-  double mean_trajectory_height() const { return mean_traj_height_; }
+  const geo::Mbr& extent() const { return stats_.extent; }
+  double mean_trajectory_width() const { return stats_.mean_trajectory_width; }
+  double mean_trajectory_height() const {
+    return stats_.mean_trajectory_height;
+  }
 
  private:
-  const engine::SimSubEngine* engine_;
-  geo::Mbr extent_;
-  double mean_traj_width_ = 0.0;
-  double mean_traj_height_ = 0.0;
+  geo::CorpusStats stats_;
 };
 
 }  // namespace simsub::service

@@ -60,11 +60,9 @@ util::Counter& PlanCounter(ServiceStats& stats, engine::PruningFilter filter) {
 
 QueryService::QueryService(engine::SimSubEngine engine, ServiceOptions options)
     : engine_(std::move(engine)),
-      planner_(engine_),
-      pool_(std::make_unique<util::ThreadPool>(ResolveThreads(options.threads))) {
-  engine_.BuildIndex();
-  engine_.BuildInvertedIndex();
-}
+      planner_(engine_.corpus_stats()),
+      pool_(std::make_unique<util::ThreadPool>(
+          ResolveThreads(options.threads))) {}
 
 QueryService::QueryService(const data::CorpusSnapshot& snapshot,
                            ServiceOptions options)

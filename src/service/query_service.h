@@ -104,7 +104,9 @@ struct ServiceStats {
 
 class QueryService {
  public:
-  /// Takes ownership of the engine and builds its R-tree and inverted grid.
+  /// Takes ownership of the engine; it builds the R-tree and the inverted
+  /// grid on the first query whose plan needs each, so set-up builds
+  /// neither.
   QueryService(engine::SimSubEngine engine, ServiceOptions options = {});
 
   /// Serves directly over an opened columnar snapshot (data/snapshot.h):
@@ -115,7 +117,7 @@ class QueryService {
   explicit QueryService(const data::CorpusSnapshot& snapshot,
                         ServiceOptions options = {});
 
-  // Self-referential (planner -> engine, tasks -> this): pin the address.
+  // Pool tasks point back at the service: pin its address.
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 

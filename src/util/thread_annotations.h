@@ -1,7 +1,7 @@
 // Clang thread-safety annotations plus a statically checkable mutex wrapper.
 //
 // The concurrency surface (util/thread_pool, service/query_service, the
-// engine's lazy caches, the logging sink) declares its lock discipline with
+// engine's scan, the logging sink) declares its lock discipline with
 // these macros: which mutex guards which member (SIMSUB_GUARDED_BY), which
 // functions must/must not hold a lock (SIMSUB_REQUIRES / SIMSUB_EXCLUDES),
 // and which functions acquire or release one (SIMSUB_ACQUIRE /
@@ -22,9 +22,9 @@
 //     passing a predicate lambda — clang analyzes lambda bodies as separate
 //     functions and would demand the lock inside the predicate.
 //   * SIMSUB_NO_THREAD_SAFETY_ANALYSIS is the escape hatch of last resort;
-//     every use must carry a comment proving the unlocked access safe (see
-//     SimSubEngine's SoaCache for the pattern: a member written once under
-//     the mutex, then published by an acquire/release atomic flag).
+//     every use must carry a comment proving the unlocked access safe. A
+//     value built once and then read without a lock needs none: build it
+//     under std::call_once (SimSubEngine's BuiltOnce).
 #ifndef SIMSUB_UTIL_THREAD_ANNOTATIONS_H_
 #define SIMSUB_UTIL_THREAD_ANNOTATIONS_H_
 

@@ -33,6 +33,11 @@ namespace simsub::util {
 
 class ThreadPool {
  public:
+  /// The widest pool a tool flag may ask for (simsub_cli --threads,
+  /// simsub_server --threads and --max_connections): a mistyped width is
+  /// refused instead of starting that many threads.
+  static constexpr int kMaxThreads = 256;
+
   /// Starts `num_threads` workers (>= 1).
   explicit ThreadPool(int num_threads);
 

@@ -331,8 +331,6 @@ TEST_F(EngineParticipantsTest, CancelAndDeadlineStopEveryParticipant) {
 }
 
 TEST_F(EngineParticipantsTest, ScansWithNoCandidateReturn) {
-  engine_->BuildIndex();
-  engine_->BuildInvertedIndex();
   // The query moved past the database's top-right corner: the R-tree finds
   // no intersecting box, and the grid clamps every point into the corner
   // cell, which no trajectory crosses.

@@ -71,8 +71,6 @@ TEST(EngineTest, KLargerThanDatabase) {
 TEST(EngineTest, IndexPrunesWithoutChangingTopWhenMarginLarge) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
-  engine.BuildIndex();
-  ASSERT_TRUE(engine.has_index());
   algo::ExactS exact(&kDtw);
   const auto& query = d.trajectories[7];
   auto no_index = RunQuery(engine, query.View(), exact, 3);
@@ -90,7 +88,6 @@ TEST(EngineTest, IndexPrunesWithoutChangingTopWhenMarginLarge) {
 TEST(EngineTest, IndexedSubsetOfScanResults) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
-  engine.BuildIndex();
   algo::ExactS exact(&kDtw);
   const auto& query = d.trajectories[11];
   auto all = RunQuery(engine, query.View(), exact, 25);
@@ -128,8 +125,6 @@ TEST(EngineTest, TotalPoints) {
 TEST(EngineTest, InvertedGridFilterPrunesAndFindsSelf) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
-  engine.BuildInvertedIndex(32, 32);
-  ASSERT_TRUE(engine.has_inverted_index());
   algo::ExactS exact(&kDtw);
   const auto& query = d.trajectories[5];
   auto report =
@@ -139,6 +134,49 @@ TEST(EngineTest, InvertedGridFilterPrunesAndFindsSelf) {
   // rank first.
   EXPECT_EQ(report.results[0].trajectory_id, 5);
   EXPECT_EQ(report.trajectories_scanned + report.trajectories_pruned, 25);
+}
+
+TEST(EngineTest, ExtentsWithoutWidthOrHeightAreAnsweredUnderEveryFilter) {
+  // Points spaced `step` apart from `from`, in the trajectory `id`.
+  auto line = [](int64_t id, geo::Point from, geo::Point step, int n) {
+    std::vector<geo::Point> pts;
+    for (int i = 0; i < n; ++i) {
+      pts.emplace_back(from.x + i * step.x, from.y + i * step.y);
+    }
+    return geo::Trajectory(std::move(pts), id);
+  };
+  const geo::Point up(0.0, 1.5);
+  const geo::Point right(2.0, 0.0);
+  struct Corpus {
+    const char* name;
+    std::vector<geo::Trajectory> trajectories;
+  };
+  const std::vector<Corpus> corpora = {
+      {"one point", {line(0, {3.0, 4.0}, up, 1)}},
+      {"vertical line",
+       {line(0, {2.0, 0.0}, up, 4), line(1, {2.0, 9.0}, up, 3),
+        line(2, {2.0, 30.0}, up, 5)}},
+      {"horizontal line",
+       {line(0, {0.0, 7.0}, right, 4), line(1, {12.0, 7.0}, right, 3),
+        line(2, {40.0, 7.0}, right, 5)}},
+  };
+  algo::ExactS exact(&kDtw);
+  for (const Corpus& corpus : corpora) {
+    SimSubEngine engine(corpus.trajectories);
+    const auto size = static_cast<int64_t>(corpus.trajectories.size());
+    for (PruningFilter filter : {PruningFilter::kNone, PruningFilter::kRTree,
+                                 PruningFilter::kInvertedGrid}) {
+      auto report = RunQuery(engine, corpus.trajectories[0].View(), exact,
+                             static_cast<int>(size), filter);
+      const std::string where =
+          std::string(corpus.name) + " filter=" + PruningFilterName(filter);
+      ASSERT_FALSE(report.results.empty()) << where;
+      EXPECT_EQ(report.results[0].trajectory_id, 0) << where;
+      EXPECT_EQ(report.results[0].distance, 0.0) << where;
+      EXPECT_EQ(report.trajectories_scanned + report.trajectories_pruned, size)
+          << where;
+    }
+  }
 }
 
 TEST(EngineTest, PreCancelledQueryStopsBeforeScanning) {
@@ -270,7 +308,6 @@ TEST(EngineTest, SubtrajectoryTopKRespectsMinSize) {
 TEST(EngineTest, ParallelWithFilterMatchesSequential) {
   data::Dataset d = SmallDataset();
   SimSubEngine engine(d.trajectories);
-  engine.BuildInvertedIndex();
   algo::ExactS exact(&kDtw);
   const auto& query = d.trajectories[14];
   auto seq = RunQuery(engine, query.View(), exact, 5, PruningFilter::kInvertedGrid,
@@ -344,7 +381,6 @@ TEST(EngineTest, SubtrajectoryTopKIsIdenticalAcrossThreadsAndPrune) {
   // change an answer.
   data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 60, 4242);
   SimSubEngine engine(d.trajectories);
-  engine.BuildIndex();
   const geo::Trajectory& source = d.trajectories[7];
   ASSERT_GT(source.size(), 25);
   std::vector<geo::Point> query(source.points().begin() + 3,

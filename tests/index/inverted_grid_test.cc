@@ -37,19 +37,6 @@ TEST(InvertedGridTest, FindsCoLocatedTrajectories) {
   EXPECT_EQ(candidates, (std::vector<int64_t>{1, 2}));
 }
 
-TEST(InvertedGridTest, MinSharedCellsTightensSelection) {
-  std::vector<geo::Trajectory> db;
-  db.push_back(Segment(0, 0, 95, 0, 40, 0));   // long horizontal
-  db.push_back(Segment(0, 0, 0, 95, 40, 1));   // long vertical
-  auto index = InvertedGridIndex::Build(db, Extent(100), 20, 20);
-  geo::Trajectory query = Segment(0, 0, 60, 0, 20, 99);  // horizontal
-  auto loose = index.QueryCandidates(query.View(), 1);
-  auto tight = index.QueryCandidates(query.View(), 3);
-  // Both share the origin cell; only the horizontal one shares many.
-  EXPECT_EQ(loose.size(), 2u);
-  EXPECT_EQ(tight, (std::vector<int64_t>{0}));
-}
-
 TEST(InvertedGridTest, MatchesBruteForceOnSyntheticCity) {
   data::Dataset city = data::GenerateDataset(data::DatasetKind::kPorto, 80, 5);
   geo::Mbr extent = city.Extent();

@@ -99,7 +99,6 @@ TEST(EndToEndTest, EngineTopKWithTrainedRlsSkip) {
   algo::RlsSearch rls_skip(&dtw, policy);
 
   engine::SimSubEngine engine(dataset.trajectories);
-  engine.BuildIndex();
   auto query = dataset.trajectories[0];
   engine::QueryOptions query_options;
   query_options.k = 10;

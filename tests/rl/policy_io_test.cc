@@ -11,6 +11,7 @@
 
 #include "data/generator.h"
 #include "similarity/dtw.h"
+#include "util/failpoint.h"
 
 namespace simsub::rl {
 namespace {
@@ -119,6 +120,22 @@ TEST(PolicyIoTest, FileRoundTrip) {
   std::vector<double> s = {0.1, 0.2, 0.3};
   EXPECT_EQ(policy.net->Forward(s), loaded->net->Forward(s));
   std::remove(path.c_str());
+}
+
+TEST(PolicyIoTest, FailedFileWriteLeavesNoFile) {
+  if (!util::FailpointsCompiledIn()) {
+    GTEST_SKIP() << "built with SIMSUB_FAILPOINTS_ENABLED=OFF";
+  }
+  TrainedPolicy policy = MakePolicy(EnvOptions{});
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "simsub_policy_doomed.txt";
+  std::filesystem::remove(path);
+  util::ClearFailpoints();
+  ASSERT_TRUE(util::SetFailpoint("io.write", "error").ok());
+  const util::Status saved = SavePolicyToFile(policy, path.string());
+  util::ClearFailpoints();
+  EXPECT_EQ(saved.code(), util::StatusCode::kIOError) << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(path)) << "partial policy left behind";
 }
 
 TEST(PolicyIoTest, RejectsGarbageAndMismatches) {

@@ -238,7 +238,6 @@ TEST(QueryBatchTest, EngineQueryBatchMatchesQueryBitwise) {
   data::Dataset d = data::GenerateDataset(data::DatasetKind::kPorto, 32, 4900);
   auto workload = data::SampleWorkload(d, 5, 4901);
   engine::SimSubEngine engine(std::move(d.trajectories));
-  engine.BuildIndex();
   similarity::MeasureOptions mo;
   auto measure = similarity::MakeMeasure("dtw", mo);
   ASSERT_TRUE(measure.ok());

@@ -1,7 +1,8 @@
 // QueryService and QueryPlanner behavior: batch/sequential equivalence,
 // planner decisions, explicit overrides, scratch reuse accounting,
-// re-entrant RunOne from a pool task, and the outcome accounting law under
-// concurrent traffic (part of the TSan CI job).
+// re-entrant RunOne from a pool task, first requests racing to build the
+// engine's indexes, and the outcome accounting law under concurrent
+// traffic (part of the TSan CI job).
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
@@ -55,10 +56,54 @@ QueryService MakeService(int threads) {
                       options);
 }
 
-TEST(QueryServiceTest, BuildsBothIndexes) {
-  QueryService service = MakeService(2);
-  EXPECT_TRUE(service.engine().has_index());
-  EXPECT_TRUE(service.engine().has_inverted_index());
+TEST(QueryServiceTest, FirstQueriesRacingToBuildTheIndexesMatchRunOne) {
+  // A fresh service has built no index and no SoA store. The specs come
+  // in waves of one filter per worker (R-tree, then grid, then the
+  // planner's choice), so the workers ask for the same unbuilt structure
+  // at once; the corpus is large enough that a build is still running
+  // when the other workers arrive. Every answer equals RunOne's on a
+  // second fresh service.
+  constexpr int kWorkers = 4;
+  const data::Dataset d =
+      data::GenerateDataset(data::DatasetKind::kPorto, 1000, 4411);
+  const auto workload = data::SampleWorkload(d, kWorkers, 4410);
+  auto fresh_service = [&](int threads) {
+    ServiceOptions options;
+    options.threads = threads;
+    return QueryService(engine::SimSubEngine(d.trajectories), options);
+  };
+  QueryService racing = fresh_service(kWorkers);
+  QueryService reference = fresh_service(1);
+
+  std::vector<QuerySpec> specs;
+  for (std::optional<engine::PruningFilter> filter :
+       {std::optional(engine::PruningFilter::kRTree),
+        std::optional(engine::PruningFilter::kInvertedGrid),
+        std::optional<engine::PruningFilter>()}) {
+    for (const auto& pair : workload) {
+      QuerySpec spec = ExactSpec(pair.query.View(), 3, filter);
+      spec.algorithm = "pss";  // cheap per candidate, so the builds show
+      specs.push_back(spec);
+    }
+  }
+  std::vector<std::future<engine::QueryReport>> futures;
+  for (const QuerySpec& spec : specs) futures.push_back(racing.Submit(spec));
+
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const engine::QueryReport got = futures[i].get();
+    const engine::QueryReport want = reference.RunOne(specs[i]);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.filter_used, want.filter_used) << "spec " << i;
+    EXPECT_EQ(got.trajectories_pruned, want.trajectories_pruned);
+    EXPECT_EQ(got.trajectories_scanned, want.trajectories_scanned);
+    EXPECT_EQ(got.lb_skipped, want.lb_skipped);
+    ASSERT_EQ(got.results.size(), want.results.size()) << "spec " << i;
+    for (size_t j = 0; j < want.results.size(); ++j) {
+      EXPECT_EQ(got.results[j].trajectory_id, want.results[j].trajectory_id);
+      EXPECT_EQ(got.results[j].range, want.results[j].range);
+      EXPECT_EQ(got.results[j].distance, want.results[j].distance);
+    }
+  }
 }
 
 TEST(QueryServiceTest, SubmitBatchMatchesSequentialExecutionBitwise) {
@@ -263,9 +308,7 @@ TEST(QueryServiceTest, NonFiniteQueryCoordinatesAreInvalidArgument) {
 TEST(QueryPlannerTest, WholeExtentQueryScansEverything) {
   data::Dataset d = SmallDataset();
   engine::SimSubEngine engine(std::move(d.trajectories));
-  engine.BuildIndex();
-  engine.BuildInvertedIndex();
-  QueryPlanner planner(engine);
+  QueryPlanner planner(engine.corpus_stats());
 
   // A query spanning the full database extent keeps every trajectory: the
   // planner must refuse to pay for a useless filtering pass.
@@ -280,9 +323,7 @@ TEST(QueryPlannerTest, WholeExtentQueryScansEverything) {
 TEST(QueryPlannerTest, TinyLocalizedQueryUsesTheGridFilter) {
   data::Dataset d = SmallDataset();
   engine::SimSubEngine engine(std::move(d.trajectories));
-  engine.BuildIndex();
-  engine.BuildInvertedIndex();
-  QueryPlanner planner(engine);
+  QueryPlanner planner(engine.corpus_stats());
 
   double cx = planner.extent().CenterX();
   double cy = planner.extent().CenterY();
@@ -296,20 +337,28 @@ TEST(QueryPlannerTest, TinyLocalizedQueryUsesTheGridFilter) {
   }
 }
 
-TEST(QueryPlannerTest, NoIndexesMeansFullScan) {
-  data::Dataset d = SmallDataset();
-  engine::SimSubEngine engine(std::move(d.trajectories));
-  QueryPlanner planner(engine);
-  std::vector<geo::Point> pts = {geo::Point(0, 0), geo::Point(10, 10)};
-  PlanDecision decision = planner.Plan(pts);
-  EXPECT_EQ(decision.filter, engine::PruningFilter::kNone);
-  EXPECT_STREQ(decision.reason, "no index built");
+TEST(QueryPlannerTest, PlansFromTheCorpusStatsAlone) {
+  // No engine: a 100 x 100 extent of point-sized trajectories, so a
+  // query box of side s keeps an estimated (s / 100)^2 of the database.
+  geo::CorpusStats stats;
+  stats.extent.Extend(geo::Point(0.0, 0.0));
+  stats.extent.Extend(geo::Point(100.0, 100.0));
+  QueryPlanner planner(stats);
+  auto plan = [&](double side) {
+    std::vector<geo::Point> box = {geo::Point(10.0, 10.0),
+                                   geo::Point(10.0 + side, 10.0 + side)};
+    return planner.Plan(box);
+  };
+  EXPECT_EQ(plan(95.0).filter, engine::PruningFilter::kNone);  // 0.9025
+  EXPECT_EQ(plan(70.0).filter, engine::PruningFilter::kRTree);  // 0.49
+  EXPECT_EQ(plan(50.0).filter, engine::PruningFilter::kInvertedGrid);  // 0.25
+  EXPECT_DOUBLE_EQ(plan(50.0).estimated_selectivity, 0.25);
 }
 
 TEST(QueryPlannerTest, SelectivityGrowsWithQueryExtent) {
   data::Dataset d = SmallDataset();
   engine::SimSubEngine engine(std::move(d.trajectories));
-  QueryPlanner planner(engine);
+  QueryPlanner planner(engine.corpus_stats());
   geo::Mbr small_box;
   small_box.Extend(geo::Point(planner.extent().CenterX(),
                               planner.extent().CenterY()));

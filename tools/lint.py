@@ -27,11 +27,12 @@ Nine rules, each encoding a contract the code base relies on:
                fallible outcome is a bug; the attribute turns it into a
                compiler warning at every call site.
 
-  raw-io       No raw write()/read()/rename()/fsync() calls outside
-               util/io.* and net/ — file and socket I/O goes through the
-               checked util::io wrappers (PR 8's contract) so every byte
-               crosses the failpoint sites and EINTR loops exactly once.
-               A raw call is a hole in the fault-injection coverage.
+  raw-io       No raw write()/read()/rename()/fsync() calls and no
+               std::ofstream/std::ifstream/std::fstream outside util/io.*
+               and net/ — file and socket I/O goes through the checked
+               util::io wrappers so every byte crosses the failpoint sites
+               and EINTR loops exactly once. A raw call or a file stream is
+               a hole in the fault-injection coverage.
 
   decode-cast  No reinterpret_cast to a structured pointer type in src/net/
                or src/data/ outside the blessed decode helpers (net/wire.cc,
@@ -224,6 +225,8 @@ def check_nodiscard(rel, text):
 # r->read() or qualified names from other scopes (Writer::write().
 RAW_IO_RE = re.compile(
     r"(?<![\w.>:])(?:std::|::)?(write|read|rename|fsync)\s*\(")
+# File streams open, write and close behind the failpoint sites' back.
+RAW_STREAM_RE = re.compile(r"\bstd::(ofstream|ifstream|fstream)\b")
 RAW_IO_EXEMPT = ("src/util/io.", "src/net/")
 
 
@@ -239,6 +242,14 @@ def check_raw_io(rel, text):
             f"raw {match.group(1)}() outside util/io.* — route file and "
             "socket I/O through util::io (PR 8 contract) so failpoint "
             "sites and EINTR handling cover it"))
+    for match in RAW_STREAM_RE.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        out.append(finding(
+            rel, line, "raw-io",
+            f"std::{match.group(1)} outside util/io.* — serialize to a "
+            "string and use util::io::WriteStringToFile/ReadFileToString "
+            "so failpoint sites cover the file and a failed write leaves "
+            "no partial file"))
     return out
 
 
@@ -461,6 +472,16 @@ void Fine(Buffer& buf, Reader* r) {
 }
 // ::fsync( in a comment must not trip
 """),
+    ("raw-io", "src/rl/model_dump.cc", """
+#include <fstream>
+#include <sstream>
+void Save(const std::string& path, const std::string& text) {
+  std::ofstream out(path);  // violation
+  out << text;
+  std::ostringstream buffer;  // ok: string stream, no file
+}
+// std::ifstream in a comment must not trip
+"""),
     ("decode-cast", "src/data/columns.cc", """
 const double* Decode(const unsigned char* p) {
   return reinterpret_cast<const double*>(p);  // violation: structured view
@@ -552,8 +573,8 @@ def self_test():
         for f in failures:
             print(f"  {f}")
         return 2
-    print(f"\nself-test OK: all {len(SELF_TEST_CASES)} rules trip on "
-          "injected violations and stay quiet on clean code")
+    print(f"\nself-test OK: all {len(SELF_TEST_CASES)} cases trip their "
+          "rule on injected violations and clean code stays quiet")
     return 0
 
 

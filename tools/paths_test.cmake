@@ -1,7 +1,8 @@
 # The tools' own paths (ctest -P script): every refused flag value and
 # every unservable input exits 1 with a typed "error:" on stderr instead of
-# aborting on a library precondition, and a query prints the same answer
-# lines whatever its scan's participant count. Writes its own tiny inputs.
+# aborting on a library precondition, a corpus without width or height is
+# answered under every plan, and a query prints the same answer lines
+# whatever its scan's participant count. Writes its own tiny inputs.
 #   cmake -DCLI=<simsub_cli> -DSERVER=<simsub_server> -DWORKDIR=<dir>
 #         -P paths_test.cmake
 file(REMOVE_RECURSE ${WORKDIR})
@@ -58,6 +59,14 @@ expect_refused("query --topk=0" ${CLI} query --data=small.csv --query_id=5
                --topk=0)
 expect_refused("query --threads=0" ${CLI} query --data=small.csv --query_id=5
                --threads=0)
+# Pool widths above util::ThreadPool::kMaxThreads (256). Only ever run one
+# above the ceiling: a build without the check would start that many threads.
+expect_refused("query --threads=257" ${CLI} query --data=small.csv
+               --query_id=5 --threads=257)
+expect_refused("server --threads=257" ${SERVER} --data=small.csv --port=0
+               --threads=257)
+expect_refused("server --max_connections=257" ${SERVER} --data=small.csv
+               --port=0 --max_connections=257)
 expect_refused("query --index (removed)" ${CLI} query --data=small.csv
                --query_id=5 --index=false)
 expect_refused("server --max_connections=0" ${SERVER} --data=small.csv
@@ -66,6 +75,29 @@ expect_refused("server over a header-only CSV" ${SERVER} --data=empty.csv
                --port=0)
 expect_refused("server over a 0-trajectory snapshot" ${SERVER}
                --snapshot=empty.snap --port=0)
+
+# Corpora with no width, no height or neither: the grid gives such an axis
+# one cell, and every plan answers with the query trajectory first.
+file(WRITE ${WORKDIR}/point.csv "trajectory_id,x,y,t\n0,5,5,0\n")
+file(WRITE ${WORKDIR}/vertical.csv
+     "trajectory_id,x,y,t\n0,2,0,0\n0,2,1,1\n1,2,5,0\n1,2,6,1\n")
+file(WRITE ${WORKDIR}/horizontal.csv
+     "trajectory_id,x,y,t\n0,0,7,0\n0,1,7,1\n1,5,7,0\n1,6,7,1\n")
+foreach(corpus point vertical horizontal)
+  foreach(plan auto none rtree grid)
+    expect_success("query ${corpus}.csv --plan=${plan}" ${CLI} query
+                   --data=${corpus}.csv --query_id=0 --topk=5 --plan=${plan})
+    string(REGEX MATCH "  trajectory[^\n]*" first "${out}")
+    string(REGEX MATCHALL "  trajectory[^\n]*" answer "${out}")
+    list(LENGTH answer lines)
+    if(NOT first MATCHES "trajectory +0 .*distance 0\\.000$" OR
+       (corpus STREQUAL "point" AND NOT lines EQUAL 1))
+      message(FATAL_ERROR "query ${corpus}.csv --plan=${plan}: expected "
+                          "trajectory 0 at distance 0 first:\n${out}")
+    endif()
+  endforeach()
+  message(STATUS "query ${corpus}.csv: answered under every plan")
+endforeach()
 
 # The answer does not depend on how many workers take part in the scan.
 foreach(algo exacts topk-sub)

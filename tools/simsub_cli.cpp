@@ -46,6 +46,7 @@
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -61,6 +62,14 @@ util::Status CheckAtLeast(const char* flag, int64_t value, int64_t min) {
   if (value >= min) return util::Status::OK();
   return util::Status::InvalidArgument("--" + std::string(flag) +
                                        " must be >= " + std::to_string(min) +
+                                       ", got " + std::to_string(value));
+}
+
+/// Refuses a flag value above its maximum before any library call sees it.
+util::Status CheckAtMost(const char* flag, int64_t value, int64_t max) {
+  if (value <= max) return util::Status::OK();
+  return util::Status::InvalidArgument("--" + std::string(flag) +
+                                       " must be <= " + std::to_string(max) +
                                        ", got " + std::to_string(value));
 }
 
@@ -277,7 +286,7 @@ int RunQuery(int argc, char** argv) {
   flags.AddInt("query_id", &query_id, "trajectory id used as the query");
   flags.AddInt("topk", &topk, "number of results");
   flags.AddInt("threads", &threads,
-               "service worker pool size (>= 1); one scan takes up to this "
+               "service worker pool size (1-256); one scan takes up to this "
                "many participants");
   flags.AddBool("prune", &prune,
                 "lower-bound pruning cascade (results are identical either "
@@ -305,8 +314,10 @@ int RunQuery(int argc, char** argv) {
     return Fail(util::Status::InvalidArgument(
         "--connect serves one query per call; --batch is local-only"));
   }
-  for (const util::Status& st : {CheckAtLeast("threads", threads, 1),
-                                 CheckAtLeast("batch_size", batch_size, 0)}) {
+  for (const util::Status& st :
+       {CheckAtLeast("threads", threads, 1),
+        CheckAtMost("threads", threads, util::ThreadPool::kMaxThreads),
+        CheckAtLeast("batch_size", batch_size, 0)}) {
     if (!st.ok()) return Fail(st);
   }
 

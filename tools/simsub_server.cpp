@@ -36,6 +36,7 @@
 #include "service/query_spec.h"
 #include "util/flags.h"
 #include "util/io.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -138,8 +139,10 @@ int main(int argc, char** argv) {
   flags.AddInt("seed", &seed, "generator seed (with --generate)");
   flags.AddString("host", &host, "bind address");
   flags.AddInt("port", &port, "TCP port (0 = ephemeral, printed on start)");
-  flags.AddInt("threads", &threads, "service worker pool width (0 = cores)");
-  flags.AddInt("max_connections", &max_connections, "live connection cap");
+  flags.AddInt("threads", &threads,
+               "service worker pool width, at most 256 (0 = cores)");
+  flags.AddInt("max_connections", &max_connections,
+               "live connection cap (1-256)");
   flags.AddInt("max_inflight", &max_inflight,
                "in-flight query window before load-shedding "
                "(0 = 2x worker count)");
@@ -156,10 +159,18 @@ int main(int argc, char** argv) {
                 "loopback self-test: generate a small database, serve it on "
                 "an ephemeral port, verify the wire stack, exit");
   if (auto st = flags.Parse(argc, argv); !st.ok()) return Fail(st);
-  if (max_connections < 1) {
+  // Both size a thread pool: a mistyped width must not start that many
+  // threads.
+  constexpr int kMaxThreads = util::ThreadPool::kMaxThreads;
+  if (threads > kMaxThreads) {
     return Fail(util::Status::InvalidArgument(
-        "--max_connections must be >= 1, got " +
-        std::to_string(max_connections)));
+        "--threads must be <= " + std::to_string(kMaxThreads) + ", got " +
+        std::to_string(threads)));
+  }
+  if (max_connections < 1 || max_connections > kMaxThreads) {
+    return Fail(util::Status::InvalidArgument(
+        "--max_connections must be in [1, " + std::to_string(kMaxThreads) +
+        "], got " + std::to_string(max_connections)));
   }
 
   if (smoke) {
