@@ -6,10 +6,13 @@
 //   1. distance-row primitives — the sqrt-per-element row fill that
 //      dominates every DP evaluator, AoS scalar vs SoA vectorized;
 //   2. the DTW evaluator — the pre-SoA per-cell implementation (replicated
-//      below verbatim) vs the production two-pass DtwEvaluator, streaming a
-//      long trajectory through Start/Extend; then the DTW suffix pass (PSS's
-//      and the RL state's backward pass) as that Start/Extend row chain vs
-//      BackwardPass, which fills several staggered rows per SIMD vector;
+//      below verbatim) vs the production DtwEvaluator, streaming a long
+//      trajectory through Start/Extend; then the start row alone, Start at
+//      every stream point (the scalar row's fused sqrt + add loop vs the
+//      dispatched two-pass row, bit-identity checked); then the DTW suffix
+//      pass (PSS's and the RL state's backward pass) as that Start/Extend
+//      row chain vs BackwardPass, which fills several staggered rows per
+//      SIMD vector;
 //   3. end-to-end engine top-k — SimSubEngine::Query with
 //      QueryOptions::prune off vs on (1 thread and hardware threads),
 //      asserting the results are bit-identical and reporting the prune
@@ -86,6 +89,8 @@ class ScalarDtwEvaluator {
     }
     return row_.back();
   }
+
+  const std::vector<double>& row() const { return row_; }
 
   SCALAR_BASELINE_CODEGEN double Extend(const geo::Point& p) {
     scratch_[0] = row_[0] + geo::Distance(p, query_[0]);
@@ -249,27 +254,56 @@ int main(int argc, char** argv) {
               "%.2fx\n",
               dtw_stream.scalar_ns, dtw_stream.soa_ns, dtw_stream.speedup());
 
+  // Each side of the passes below keeps its fastest of 5 repetitions: a
+  // quick-mode repetition takes about a millisecond, which one preemption
+  // can double.
+  auto fastest_ns_per_cell = [&](auto&& pass) {
+    double best_s = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      util::Stopwatch timer;
+      for (int it = 0; it < stream_iters; ++it) pass();
+      best_s = std::min(best_s, timer.ElapsedSeconds());
+    }
+    return best_s * 1e9 /
+           (static_cast<double>(stream_iters) * stream_len * query_len);
+  };
+
+  // A start row at every stream point: the scalar evaluator's Start
+  // (scalar_ns) against DtwEvaluator::Start (soa_ns), which fills the
+  // distances vector-wide and then sums them. Every row of the dispatched
+  // kernel must equal the scalar row bit for bit.
+  RowBenchResult dtw_start;
+  bool start_identical = true;
+  {
+    ScalarDtwEvaluator scalar(query);
+    auto eval = dtw.NewEvaluator(query);
+    dtw_start.scalar_ns = fastest_ns_per_cell([&] {
+      for (const geo::Point& p : traj) checksum += scalar.Start(p);
+    });
+    dtw_start.soa_ns = fastest_ns_per_cell([&] {
+      for (const geo::Point& p : traj) checksum += eval->Start(p);
+    });
+    for (const geo::Point& p : traj) {
+      const double last = scalar.Start(p);
+      geo::DtwStartRow(p, query_soa.View(), row.data());
+      start_identical = start_identical && row == scalar.row() &&
+                        eval->Start(p) == last;
+    }
+  }
+  std::printf("dtw start:    scalar %6.2f ns/cell | soa %6.2f ns/cell | "
+              "%.2fx | soa==scalar: %s\n",
+              dtw_start.scalar_ns, dtw_start.soa_ns, dtw_start.speedup(),
+              start_identical ? "yes" : "NO");
+
   // The suffix pass over the same trajectory and the reversed query, as
   // ComputeSuffixDistances runs it: the Start/Extend row chain (scalar_ns)
-  // against the multi-row BackwardPass (soa_ns). Each side keeps its
-  // fastest of 5 repetitions: a quick-mode repetition takes about a
-  // millisecond, which one preemption can double.
+  // against the multi-row BackwardPass (soa_ns).
   RowBenchResult dtw_suffix;
   bool suffix_identical = true;
   {
     std::vector<geo::Point> reversed_query = geo::ReversePoints(query);
     auto eval = dtw.NewEvaluator(reversed_query);
     std::vector<double> chain(traj.size()), multi(traj.size());
-    auto fastest_ns_per_cell = [&](auto&& pass) {
-      double best_s = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 5; ++rep) {
-        util::Stopwatch timer;
-        for (int it = 0; it < stream_iters; ++it) pass();
-        best_s = std::min(best_s, timer.ElapsedSeconds());
-      }
-      return best_s * 1e9 /
-             (static_cast<double>(stream_iters) * stream_len * query_len);
-    };
     dtw_suffix.scalar_ns = fastest_ns_per_cell([&] {
       chain.back() = eval->Start(traj.back());
       for (size_t i = traj.size() - 1; i-- > 0;) {
@@ -408,6 +442,9 @@ int main(int argc, char** argv) {
       "\"soa_ns_per_elem\": %.3f, \"speedup\": %.3f},\n"
       "  \"dtw_extend\": {\"scalar_ns_per_cell\": %.3f, "
       "\"soa_ns_per_cell\": %.3f, \"speedup\": %.3f},\n"
+      "  \"dtw_start\": {\"scalar_ns_per_cell\": %.3f, "
+      "\"soa_ns_per_cell\": %.3f, \"speedup\": %.3f, "
+      "\"identical_to_scalar\": %s},\n"
       "  \"dtw_suffix\": {\"row_chain_ns_per_cell\": %.3f, "
       "\"multi_row_ns_per_cell\": %.3f, \"speedup\": %.3f},\n"
       "  \"engine_topk\": {\"unpruned_seconds\": %.6f, "
@@ -424,7 +461,9 @@ int main(int argc, char** argv) {
       quick ? "true" : "false", geo::ActiveIsaName(), dist_row.scalar_ns,
       dist_row.soa_ns, dist_row.speedup(), sq_row.scalar_ns, sq_row.soa_ns,
       sq_row.speedup(), dtw_stream.scalar_ns, dtw_stream.soa_ns,
-      dtw_stream.speedup(), dtw_suffix.scalar_ns, dtw_suffix.soa_ns,
+      dtw_stream.speedup(), dtw_start.scalar_ns, dtw_start.soa_ns,
+      dtw_start.speedup(), start_identical ? "true" : "false",
+      dtw_suffix.scalar_ns, dtw_suffix.soa_ns,
       dtw_suffix.speedup(), unpruned_s, pruned_s, pruned_mt_s, hw,
       engine_speedup, engine_speedup_mt, static_cast<long long>(lb_skipped),
       static_cast<long long>(dp_abandoned), identical ? "true" : "false",
@@ -436,6 +475,11 @@ int main(int argc, char** argv) {
   if (!identical) {
     std::fprintf(stderr,
                  "FAIL: pruned top-k differs from unpruned results\n");
+    return 1;
+  }
+  if (!start_identical) {
+    std::fprintf(stderr, "FAIL: dispatched start row differs from the scalar "
+                         "row\n");
     return 1;
   }
   if (!suffix_identical) {

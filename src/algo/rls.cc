@@ -1,6 +1,6 @@
 #include "algo/rls.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -25,20 +25,14 @@ RlsSearch::RlsSearch(const similarity::SimilarityMeasure* measure,
 
 SearchResult RlsSearch::DoSearch(std::span<const geo::Point> data,
                                  std::span<const geo::Point> query,
-                                 similarity::EvaluatorCache&,
+                                 similarity::EvaluatorCache& scratch,
                                  std::optional<double>) const {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  rl::SplitEnv env(measure_, policy_.env_options);
+  rl::SplitEnv env(measure_, policy_.env_options, scratch);
   env.Reset(data, query);
   const nn::Mlp& net = *policy_.net;
-  nn::Mlp::Cache cache;  // reused across all decisions of this search
-  while (!env.done()) {
-    const std::vector<double>& q = net.Forward(env.state(), &cache);
-    int action =
-        static_cast<int>(std::max_element(q.begin(), q.end()) - q.begin());
-    env.Step(action);
-  }
+  while (!env.done()) env.Step(net.ArgMaxOutput(env.state()));
   SearchResult result;
   result.best = env.best_range();
   result.distance = env.best_distance();

@@ -106,8 +106,8 @@ class SubtrajectorySearch {
   /// The one implementation hook (non-virtual interface: every public
   /// Search overload dispatches here, so derived classes never hide one of
   /// them). A search takes its evaluators from `scratch`, the caller's
-  /// cache or one local to the Search call (RlsSearch's rl::SplitEnv owns
-  /// its own, and SimTra scores with Distance()). An unset `bailout` is the
+  /// cache or one local to the Search call (SimTra scores with Distance()
+  /// and takes none). An unset `bailout` is the
   /// full search: nothing is abandoned, so `stats` count all the work.
   /// A set one is the bounded contract of Search(.., bailout). Algorithms
   /// without an evaluator or a pruned path ignore the parameter they have

@@ -168,12 +168,66 @@ void AffineSample(const DenseLayer& layer, size_t sample, size_t samples,
 }
 
 // The layer's pre-activations for a feature-major batch, or with `relu` its
-// ReLU outputs. One sample (every inference decision) takes the 4-row tiles
-// directly.
+// ReLU outputs. One sample takes the 4-row tiles directly.
 void Affine(const DenseLayer& layer, size_t samples, bool relu, const double* x,
             double* out) {
   if (samples == 1) return AffineSample(layer, 0, 1, relu, x, out);
   AffineBatch(layer, samples, relu, x, out);
+}
+
+// The widest layer Mlp::ArgMaxOutput keeps on the stack.
+constexpr int kDecisionWidth = 64;
+
+// One sample's pre-activations of a layer kIn units wide, or with `relu`
+// its ReLU outputs, a row at a time in index order. A compile-time width
+// unrolls each row's sum, so the rows overlap: with the width read at run
+// time, a 3-input layer of 20 ReLU units took about half of a 2-head
+// greedy decision.
+template <int kIn>
+void NarrowRows(const DenseLayer& layer, bool relu, const double* x,
+                double* out) {
+  const double* w = layer.w.data();
+  for (int r = 0; r < layer.out; ++r) {
+    double acc = layer.b[static_cast<size_t>(r)];
+    for (int i = 0; i < kIn; ++i) acc += w[r * kIn + i] * x[i];
+    out[r] = relu ? Activate(Activation::kRelu, acc) : acc;
+  }
+}
+
+// One sample's activated outputs of a hidden layer for Mlp::ArgMaxOutput.
+// Layers as narrow as the splitting MDP's states sum a row at a time.
+void DecisionLayer(const DenseLayer& layer, const double* x, double* out) {
+  const bool relu = layer.act == Activation::kRelu;
+  if (layer.in == 2) {
+    NarrowRows<2>(layer, relu, x, out);
+  } else if (layer.in == 3) {
+    NarrowRows<3>(layer, relu, x, out);
+  } else {
+    AffineSample(layer, 0, 1, relu, x, out);
+  }
+  if (!relu) {
+    for (int k = 0; k < layer.out; ++k) out[k] = Activate(layer.act, out[k]);
+  }
+}
+
+// The first of the `count` values q[0..count) holding the largest (the one
+// std::max_element picks).
+int FirstMax(const double* q, int count) {
+  int best = 0;
+  for (int o = 1; o < count; ++o) {
+    if (q[best] < q[o]) best = o;
+  }
+  return best;
+}
+
+// The first maximum of an output layer of kUnits units for one sample, its
+// sums in one tile.
+template <int kUnits>
+int TileArgMax(const DenseLayer& layer, const double* x) {
+  double q[kUnits];
+  AffineRows<kUnits>(layer, 0, 0, 1, false, x, q);
+  for (double& v : q) v = Activate(layer.act, v);
+  return FirstMax(q, kUnits);
 }
 
 // Column c of a layer's parameter gradient row o: gw[o][c] for c < in, the
@@ -388,6 +442,40 @@ void Mlp::RegisterParams() {
 std::vector<double> Mlp::Forward(std::span<const double> x) const {
   Cache unused;
   return Forward(x, &unused);
+}
+
+int Mlp::ArgMaxOutput(std::span<const double> x) const {
+  SIMSUB_CHECK_EQ(x.size(), static_cast<size_t>(input_dim_));
+  for (const DenseLayer& layer : layers_) {
+    if (layer.out > kDecisionWidth) {
+      const std::vector<double> q = Forward(x);
+      return FirstMax(q.data(), output_dim());
+    }
+  }
+  // Layer l writes buffers[l % 2]; each reads only what the layer before
+  // it wrote.
+  double buffers[2][kDecisionWidth];
+  const double* cur = x.data();
+  const size_t last = layers_.size() - 1;
+  for (size_t l = 0; l < last; ++l) {
+    DecisionLayer(layers_[l], cur, buffers[l % 2]);
+    cur = buffers[l % 2];
+  }
+  const DenseLayer& head = layers_[last];
+  switch (head.out) {
+    case 2: return TileArgMax<2>(head, cur);
+    case 3: return TileArgMax<3>(head, cur);
+    case 4: return TileArgMax<4>(head, cur);
+    case 5: return TileArgMax<5>(head, cur);
+    case 6: return TileArgMax<6>(head, cur);
+    case 7: return TileArgMax<7>(head, cur);
+    case 8: return TileArgMax<8>(head, cur);
+    default: break;
+  }
+  double* q = buffers[last % 2];
+  AffineSample(head, 0, 1, false, cur, q);
+  for (int k = 0; k < head.out; ++k) q[k] = Activate(head.act, q[k]);
+  return FirstMax(q, head.out);
 }
 
 const std::vector<double>& Mlp::Forward(std::span<const double> x,

@@ -77,6 +77,14 @@ class Mlp {
   /// Inference-only forward pass.
   std::vector<double> Forward(std::span<const double> x) const;
 
+  /// The greedy decision for one sample: the first output unit holding the
+  /// largest value of Forward(x) (the unit std::max_element picks), bit for
+  /// bit, with no Cache and no allocation. Every sum keeps Forward's index
+  /// order; an output layer of up to 8 units is summed in one tile, so its
+  /// units' chains run side by side. A network with a hidden or output
+  /// layer wider than 64 units decides through Forward instead.
+  int ArgMaxOutput(std::span<const double> x) const;
+
   /// The buffers of one forward/backward pair. Reusing one Cache across
   /// calls keeps hot loops (DQN training, RLS inference) allocation-free.
   struct Cache {

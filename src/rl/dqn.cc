@@ -50,16 +50,16 @@ DqnAgent::DqnAgent(int state_dim, int action_count, DqnOptions options,
   SIMSUB_CHECK_GT(action_count, 1);
 }
 
-int DqnAgent::SelectAction(const std::vector<double>& state) {
+int DqnAgent::SelectAction(std::span<const double> state) {
   if (rng_.Bernoulli(epsilon_)) {
     return static_cast<int>(rng_.UniformInt(0, action_count_ - 1));
   }
   return GreedyAction(state);
 }
 
-int DqnAgent::GreedyAction(const std::vector<double>& state) const {
+int DqnAgent::GreedyAction(std::span<const double> state) const {
   SIMSUB_CHECK_EQ(state.size(), static_cast<size_t>(state_dim_));
-  return ArgMax(main_.Forward(state, &main_cache_).data(), action_count_, 1);
+  return main_.ArgMaxOutput(state);
 }
 
 void DqnAgent::Remember(const Experience& e) { replay_.Add(e); }

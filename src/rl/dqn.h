@@ -4,6 +4,7 @@
 #define SIMSUB_RL_DQN_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/adam.h"
@@ -48,10 +49,11 @@ class DqnAgent {
   const DqnOptions& options() const { return options_; }
 
   /// epsilon-greedy action selection against the main network.
-  int SelectAction(const std::vector<double>& state);
+  int SelectAction(std::span<const double> state);
 
-  /// Pure exploitation (used at evaluation time).
-  int GreedyAction(const std::vector<double>& state) const;
+  /// Pure exploitation: the main network's nn::Mlp::ArgMaxOutput, the
+  /// decision RlsSearch takes with an exported policy.
+  int GreedyAction(std::span<const double> state) const;
 
   /// Copies a transition into the replay memory.
   void Remember(const Experience& e);
@@ -92,8 +94,8 @@ class DqnAgent {
   ReplayMemory replay_;
   double epsilon_;
   // Reused learning-step buffers; the agent is single-threaded by contract.
-  mutable nn::Mlp::Cache main_cache_;
-  mutable nn::Mlp::Cache target_cache_;
+  nn::Mlp::Cache main_cache_;
+  nn::Mlp::Cache target_cache_;
   std::vector<const Experience*> batch_;
   std::vector<double> states_;       // state_dim x batch, feature-major
   std::vector<double> next_states_;  // state_dim x batch, feature-major

@@ -8,8 +8,8 @@
 namespace simsub::rl {
 
 SplitEnv::SplitEnv(const similarity::SimilarityMeasure* measure,
-                   EnvOptions options)
-    : measure_(measure), options_(options) {
+                   EnvOptions options, similarity::EvaluatorCache& evaluators)
+    : measure_(measure), options_(options), evaluators_(&evaluators) {
   SIMSUB_CHECK(measure != nullptr);
   SIMSUB_CHECK_GE(options.skip_count, 0);
 }
@@ -29,14 +29,14 @@ void SplitEnv::Reset(std::span<const geo::Point> data,
   // The suffix pass borrows the cache's evaluator, so it runs before the
   // prefix evaluator is acquired.
   if (options_.use_suffix) {
-    similarity::ComputeSuffixDistances(*measure_, data_, query_, evaluators_,
+    similarity::ComputeSuffixDistances(*measure_, data_, query_, *evaluators_,
                                        suffix_dist_);
     start_calls_ += 1;
     extend_calls_ += static_cast<int64_t>(data.size()) - 1;
   } else {
     suffix_dist_.clear();
   }
-  prefix_eval_ = evaluators_.Acquire(*measure_, query_);
+  prefix_eval_ = evaluators_->Acquire(*measure_, query_);
   t_ = 0;
   h_ = 0;
   segment_has_skips_ = false;
@@ -64,15 +64,16 @@ void SplitEnv::Reset(std::span<const geo::Point> data,
 }
 
 void SplitEnv::RefreshState() {
-  state_.assign(1, best_similarity_);
-  state_.push_back(Sim(pre_dist_));
-  if (options_.use_suffix) state_.push_back(Sim(suf_dist_));
+  state_[0] = best_similarity_;
+  state_[1] = Sim(pre_dist_);
+  if (options_.use_suffix) state_[2] = Sim(suf_dist_);
 }
 
 void SplitEnv::ConsumeCurrentCandidates() {
   // Algorithm 3 line 14: Θbest <- max{Θbest, Θpre, Θsuf}, with Tbest
-  // updated to the winning candidate.
-  double pre_sim = Sim(pre_dist_);
+  // updated to the winning candidate. Θpre and Θsuf are the state's:
+  // RefreshState computed them from the scanned point's distances.
+  const double pre_sim = state_[1];
   if (pre_sim > best_similarity_) {
     best_similarity_ = pre_sim;
     best_distance_ = pre_dist_;
@@ -80,7 +81,7 @@ void SplitEnv::ConsumeCurrentCandidates() {
     best_range_ = geo::SubRange(h_, t_);
   }
   if (options_.use_suffix) {
-    double suf_sim = Sim(suf_dist_);
+    const double suf_sim = state_[2];
     if (suf_sim > best_similarity_) {
       best_similarity_ = suf_sim;
       best_distance_ = suf_dist_;
@@ -120,8 +121,9 @@ double SplitEnv::Step(int action) {
   }
 
   if (next >= n) {
+    // No point is scanned: of the state, only Θbest can change.
     done_ = true;
-    RefreshState();
+    state_[0] = best_similarity_;
     return best_similarity_ - old_best;
   }
 

@@ -10,6 +10,7 @@
 #ifndef SIMSUB_RL_ENV_H_
 #define SIMSUB_RL_ENV_H_
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -46,7 +47,12 @@ struct EnvOptions {
 /// candidate subtrajectory seen, exactly like Algorithm 3.
 class SplitEnv {
  public:
-  SplitEnv(const similarity::SimilarityMeasure* measure, EnvOptions options);
+  /// The env's suffix pass and prefix evaluator come from `evaluators`
+  /// (RlsSearch passes the caller's scratch, the trainer one cache for all
+  /// its episodes). The cache must outlive the env, and nothing else may
+  /// acquire from it while an episode runs.
+  SplitEnv(const similarity::SimilarityMeasure* measure, EnvOptions options,
+           similarity::EvaluatorCache& evaluators);
 
   int state_dim() const { return options_.use_suffix ? 3 : 2; }
   int action_count() const { return 2 + options_.skip_count; }
@@ -56,8 +62,11 @@ class SplitEnv {
   void Reset(std::span<const geo::Point> data,
              std::span<const geo::Point> query);
 
-  /// Current state vector (size state_dim()).
-  const std::vector<double>& state() const { return state_; }
+  /// Current state vector (size state_dim()), valid until the next Step()
+  /// or Reset().
+  std::span<const double> state() const {
+    return {state_.data(), static_cast<size_t>(state_dim())};
+  }
 
   bool done() const { return done_; }
 
@@ -91,9 +100,8 @@ class SplitEnv {
 
   std::span<const geo::Point> data_;
   std::span<const geo::Point> query_;
-  /// Serves the suffix pass and then the prefix evaluator, and keeps that
-  /// evaluator across episodes.
-  similarity::EvaluatorCache evaluators_;
+  /// Serves the suffix pass and then the prefix evaluator.
+  similarity::EvaluatorCache* evaluators_;
   similarity::PrefixEvaluator* prefix_eval_ = nullptr;  // from evaluators_
   /// Empty when !use_suffix; otherwise refilled by every Reset() in place,
   /// so episodes share one buffer.
@@ -112,7 +120,9 @@ class SplitEnv {
   bool best_distance_exact_ = true;
   geo::SubRange best_range_;
 
-  std::vector<double> state_;
+  /// (Θbest, Θpre, Θsuf), rewritten in place at every step; Θsuf is unused
+  /// when !use_suffix.
+  std::array<double, 3> state_ = {};
 
   int64_t points_scanned_ = 0;
   int64_t points_skipped_ = 0;

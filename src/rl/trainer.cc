@@ -20,7 +20,8 @@ TrainedPolicy RlsTrainer::Train(std::span<const geo::Trajectory> data_pool,
   SIMSUB_CHECK(!query_pool.empty());
   util::Stopwatch timer;
   util::Rng rng(options_.seed);
-  SplitEnv env(measure_, options_.env);
+  similarity::EvaluatorCache evaluators;  // serves every episode
+  SplitEnv env(measure_, options_.env, evaluators);
   DqnAgent agent(env.state_dim(), env.action_count(), options_.dqn,
                  rng.engine()());
   report_ = TrainReport{};
@@ -38,11 +39,11 @@ TrainedPolicy RlsTrainer::Train(std::span<const geo::Trajectory> data_pool,
     env.Reset(data.View(), query.View());
     double episode_return = 0.0;
     while (!env.done()) {
-      step.state = env.state();
+      step.state.assign(env.state().begin(), env.state().end());
       step.action = agent.SelectAction(step.state);
       step.reward = env.Step(step.action);
       episode_return += step.reward;
-      step.next_state = env.state();
+      step.next_state.assign(env.state().begin(), env.state().end());
       step.terminal = env.done();
       agent.Remember(step);
       agent.Learn();

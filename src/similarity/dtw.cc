@@ -18,12 +18,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// The sweeps live in geo::DtwStartRow / geo::DtwExtendRow — the shared
 /// per-ISA kernel bodies behind the runtime dispatch (geo/simd_dispatch.h)
 /// — which read the query through its SoA copy (unit-stride x[]/y[]
-/// instead of the 24-byte-strided AoS Points) with the distance computed
-/// inline: the recurrence's out[j-1] dependence makes the row latency-bound
+/// instead of the 24-byte-strided AoS Points). An extend row computes each
+/// distance inline: its out[j-1] dependence makes the row latency-bound
 /// (min+add per cell), so the sqrt sits OFF the carried path and is hidden
-/// by out-of-order execution — measurably faster than a separate vectorized
-/// DistanceRow pass, whose extra row of loads/stores cannot be hidden (see
-/// bench_kernels). The kernels track the row minimum, which is
+/// by out-of-order execution — faster than a separate vectorized
+/// DistanceRow pass, whose extra row of loads/stores cannot be hidden. A
+/// start row is the other way round: its carried chain is one add, shorter
+/// than a scalar sqrt, so it fills the distances in a vectorized pass
+/// first and runs the prefix sum over them (bench_kernels measures both
+/// rows). The kernels track the row minimum, which is
 /// non-decreasing from row to row (every cell adds a nonnegative distance
 /// to a min over previous cells), so it lower-bounds every future
 /// extension — the ExtensionLowerBound() early-abandoning hook.

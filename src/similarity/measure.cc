@@ -60,6 +60,12 @@ PrefixEvaluator* EvaluatorCache::Acquire(const SimilarityMeasure& measure,
   return evaluator_.get();
 }
 
+PrefixEvaluator* EvaluatorCache::AcquireReversed(
+    const SimilarityMeasure& measure, std::span<const geo::Point> query) {
+  reversed_query_.assign(query.rbegin(), query.rend());
+  return Acquire(measure, reversed_query_);
+}
+
 void ComputeSuffixDistances(const SimilarityMeasure& measure,
                             std::span<const geo::Point> data,
                             std::span<const geo::Point> query,
@@ -67,8 +73,7 @@ void ComputeSuffixDistances(const SimilarityMeasure& measure,
                             std::vector<double>& suffix) {
   SIMSUB_CHECK(!data.empty());
   SIMSUB_CHECK(!query.empty());
-  std::vector<geo::Point> reversed_query = geo::ReversePoints(query);
-  PrefixEvaluator& eval = *cache.Acquire(measure, reversed_query);
+  PrefixEvaluator& eval = *cache.AcquireReversed(measure, query);
   suffix.resize(data.size());
   // T[n-1..n-1]^R is the single last point; extending with p_{n-2}, ...
   // builds T[i..n-1]^R = <p_{n-1}, ..., p_i> one prepended point at a time.

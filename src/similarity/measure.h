@@ -167,7 +167,7 @@ class SimilarityMeasure {
 /// dead measure's evaluator. NOT thread-safe, counters included, by design
 /// rather than omission: one cache has one owner at a time (the serving
 /// layer gives each request its own on its stack, the engine each scan
-/// participant its own, and rl::SplitEnv owns one), so the slot
+/// participant its own, and rl::SplitEnv borrows its owner's), so the slot
 /// deliberately carries no mutex and no SIMSUB_GUARDED_BY (see
 /// util/thread_annotations.h for the lock-annotation conventions); adding
 /// cross-thread access here is a contract change, not a missing lock.
@@ -179,6 +179,12 @@ class EvaluatorCache {
   [[nodiscard]] PrefixEvaluator* Acquire(const SimilarityMeasure& measure,
                                          std::span<const geo::Point> query);
 
+  /// Acquire() against the reverse of `query`, copied into a buffer the
+  /// cache keeps: the evaluator's query lives as long as its slot, and the
+  /// copy allocates only for a query longer than any the cache has held.
+  [[nodiscard]] PrefixEvaluator* AcquireReversed(
+      const SimilarityMeasure& measure, std::span<const geo::Point> query);
+
   /// Successful Reset() reuses vs fresh NewEvaluator() allocations.
   int64_t reuse_count() const { return reuse_count_; }
   int64_t alloc_count() const { return alloc_count_; }
@@ -188,6 +194,7 @@ class EvaluatorCache {
   /// while the slot is empty.
   uint64_t identity_ = 0;
   std::unique_ptr<PrefixEvaluator> evaluator_;
+  std::vector<geo::Point> reversed_query_;  // AcquireReversed's query
   int64_t reuse_count_ = 0;
   int64_t alloc_count_ = 0;
 };
@@ -196,8 +203,8 @@ class EvaluatorCache {
 /// in one O(n * Phi_inc) backward pass (PSS Algorithm 2, lines 2-3; also the
 /// Θsuf component of the RL state). `suffix` is resized to n, its capacity
 /// kept, so a caller that reuses it allocates nothing for it. The
-/// reversed-query evaluator comes from `cache`, which invalidates any
-/// pointer an earlier Acquire() returned.
+/// reversed-query evaluator comes from `cache` (AcquireReversed), which
+/// invalidates any pointer an earlier Acquire() returned.
 void ComputeSuffixDistances(const SimilarityMeasure& measure,
                             std::span<const geo::Point> data,
                             std::span<const geo::Point> query,

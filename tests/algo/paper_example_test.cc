@@ -45,7 +45,8 @@ TEST(PaperExampleTest, PssSplitsTooEarlyLikeTable3) {
 TEST(PaperExampleTest, SmarterPolicyRecoversOptimumLikeTable4) {
   // Drive the RLS environment with the action sequence a smarter policy
   // would choose: split after the leading outlier, then extend the prefix.
-  rl::SplitEnv env(&kDtw, rl::EnvOptions{});
+  similarity::EvaluatorCache evaluators;
+  rl::SplitEnv env(&kDtw, rl::EnvOptions{}, evaluators);
   auto data = PaperData();
   auto query = PaperQuery();
   env.Reset(data, query);
@@ -73,7 +74,8 @@ TEST(PaperExampleTest, SkippingSavesStateMaintenance) {
   // redundant point.
   rl::EnvOptions options;
   options.skip_count = 1;
-  rl::SplitEnv env(&kDtw, options);
+  similarity::EvaluatorCache evaluators;
+  rl::SplitEnv env(&kDtw, options, evaluators);
   auto data = PaperData();
   auto query = PaperQuery();
   env.Reset(data, query);

@@ -2,14 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 
 #include "algo/exacts.h"
 #include "algo/splitting.h"
 #include "data/generator.h"
 #include "data/workload.h"
+#include "engine/engine.h"
 #include "eval/metrics.h"
 #include "similarity/dtw.h"
+
+// Counts operator new calls while a test turns counting on. Replacing the
+// global operators is test-local: only this binary links them.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<long long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC 12 would otherwise see std::free() applied to a pointer
+// from operator new and warn (-Wmismatched-new-delete), though the two
+// replacements here pair malloc with free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace simsub::algo {
 namespace {
@@ -137,6 +165,96 @@ TEST(RlsTest, TrainedPolicyBeatsNeverSplittingOnAverage) {
   }
   EXPECT_LT(rr_trained, rr_naive)
       << "5000 training episodes must beat the no-split scan";
+}
+
+// FNV-1a over the eight bytes of `value`.
+void Mix(uint64_t value, uint64_t* hash) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *hash ^= (value >> (8 * byte)) & 0xff;
+    *hash *= 0x100000001b3ULL;
+  }
+}
+
+// The options and corpus of rl_trainer_test's kPinnedRuns "rls" and
+// "rls_skip", trained for 150 episodes instead of 40: the 40-episode
+// policies never split on these pairs. Each policy searches 192 fixed
+// (data, query) pairs of its training corpus, and every answer's range,
+// distance bits, exactness, splits and skipped points are pinned to a
+// reference build (x86-64, glibc libm, no FMA contraction). A change to the
+// DP rows, the env's state or the policy's decision that moves one bit of
+// one answer moves these hashes.
+TEST(RlsTest, AnswersArePinnedBitForBit) {
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 24, 81);
+  const size_t count = dataset.trajectories.size();
+  struct Pinned {
+    int skip_count;
+    uint64_t answer_bits;
+  };
+  for (const Pinned& run : {Pinned{0, 0x1ae8f3e504d790e4ULL},
+                            Pinned{3, 0x91ad18d81fa6c8d2ULL}}) {
+    rl::EnvOptions env;
+    env.skip_count = run.skip_count;
+    RlsSearch rls(&kDtw, TrainSmallPolicy(dataset, 150, env));
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    int64_t splits = 0;
+    int64_t skipped = 0;
+    for (size_t p = 0; p < count * count; p += 3) {
+      const SearchResult r = rls.Search(dataset.trajectories[p / count],
+                                        dataset.trajectories[p % count]);
+      Mix(static_cast<uint64_t>(r.best.start), &hash);
+      Mix(static_cast<uint64_t>(r.best.end), &hash);
+      Mix(std::bit_cast<uint64_t>(r.distance), &hash);
+      Mix(r.distance_exact ? 1 : 0, &hash);
+      Mix(static_cast<uint64_t>(r.stats.splits), &hash);
+      Mix(static_cast<uint64_t>(r.stats.points_skipped), &hash);
+      splits += r.stats.splits;
+      skipped += r.stats.points_skipped;
+    }
+    EXPECT_EQ(hash, run.answer_bits)
+        << "skip_count " << run.skip_count << ": 0x" << std::hex << hash;
+    // The pins cover decisions of every kind the policy can take.
+    EXPECT_GT(splits, 0);
+    EXPECT_EQ(skipped > 0, run.skip_count > 0);
+  }
+}
+
+// A searched candidate of a warm SimSubEngine::Query costs RLS and RLS-Skip
+// one allocation, the env's suffix distances: the evaluator, its suffix-pass
+// scratch and the reversed query come from the scan's scratch, the env's
+// state is fixed-size, and a decision takes no buffers. The per-query
+// allocations cancel out between a corpus and the same corpus twice over.
+TEST(RlsTest, EngineQueryAllocatesOncePerSearchedCandidate) {
+  data::Dataset dataset =
+      data::GenerateDataset(data::DatasetKind::kPorto, 30, 506);
+  std::vector<geo::Trajectory> twice = dataset.trajectories;
+  twice.insert(twice.end(), dataset.trajectories.begin(),
+               dataset.trajectories.end());
+  const engine::SimSubEngine once_engine(dataset.trajectories);
+  const engine::SimSubEngine twice_engine(std::move(twice));
+  const geo::Trajectory& query = dataset.trajectories[4];
+  for (int skip_count : {0, 3}) {
+    rl::EnvOptions env;
+    env.skip_count = skip_count;
+    RlsSearch rls(&kDtw, TrainSmallPolicy(dataset, 20, env));
+    similarity::EvaluatorCache scratch;
+    engine::QueryOptions options;
+    options.k = 5;
+    options.scratch = &scratch;
+    auto count_news = [&](const engine::SimSubEngine& engine) {
+      (void)engine.Query(query.View(), rls, options);  // warm-up
+      g_news = 0;
+      g_count_news = true;
+      const engine::QueryReport report = engine.Query(query.View(), rls, options);
+      g_count_news = false;
+      EXPECT_EQ(report.trajectories_scanned,
+                static_cast<int64_t>(engine.database().size()));
+      return g_news.load();
+    };
+    const long long extra = count_news(twice_engine) - count_news(once_engine);
+    EXPECT_EQ(extra, static_cast<long long>(dataset.trajectories.size()))
+        << "skip_count " << skip_count;
+  }
 }
 
 }  // namespace

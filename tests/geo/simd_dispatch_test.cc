@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -107,40 +108,95 @@ TEST(SimdDispatchTest, RowKernelsBitIdenticalAcrossTiers) {
   }
 }
 
+// The bits of `v`: NaNs compare equal by payload, and -0.0 differs from 0.0.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
 // DTW DP rows: a multi-row recurrence chain must stay bit-identical across
 // tiers — this is the carried-dependency case where any reassociation or
-// FMA contraction would show up immediately.
+// FMA contraction would show up immediately. The start row fills its
+// distances vector-wide and then sums them serially, so every tier's start
+// row of every data point is also compared with an independent serial sum
+// of geo::Distance (the baseline tier changes along with the others). Query
+// lengths straddle each lane width (2, 4 and 8 doubles), and four inputs
+// are run: random points; a NaN coordinate in one query point and one data
+// point; +inf and -inf coordinates, whose cells hold inf and NaN (inf - inf);
+// and coordinates of -0.0 next to 0.0. Rows are compared bit for bit.
 TEST(SimdDispatchTest, DtwRowsBitIdenticalAcrossTiers) {
   util::Rng rng(12);
-  for (int m : {1, 2, 5, 33, 128}) {
-    std::vector<Point> q = RandomPoints(rng, m, 500.0);
-    std::vector<Point> data = RandomPoints(rng, 40, 500.0);
-    FlatPoints soa(q);
-    const PointsView v = soa.View();
-    const SoaKernels& b = KernelsFor(IsaTier::kBaseline);
-    for (IsaTier tier : SupportedTiers()) {
-      const SoaKernels& k = KernelsFor(tier);
-      std::vector<double> brow(q.size()), bout(q.size());
-      std::vector<double> krow(q.size()), kout(q.size());
-      double blast = b.dtw_start_row(data[0].x, data[0].y, v.x, v.y, v.size,
-                                     brow.data());
-      double klast = k.dtw_start_row(data[0].x, data[0].y, v.x, v.y, v.size,
-                                     krow.data());
-      EXPECT_EQ(klast, blast) << IsaTierName(tier);
-      for (size_t j = 0; j < q.size(); ++j) EXPECT_EQ(krow[j], brow[j]);
-      for (size_t i = 1; i < data.size(); ++i) {
-        double bmin = 0.0, kmin = 0.0;
-        blast = b.dtw_extend_row(data[i].x, data[i].y, v.x, v.y, v.size,
-                                 brow.data(), bout.data(), &bmin);
-        klast = k.dtw_extend_row(data[i].x, data[i].y, v.x, v.y, v.size,
-                                 krow.data(), kout.data(), &kmin);
-        EXPECT_EQ(klast, blast) << IsaTierName(tier) << " i=" << i;
-        EXPECT_EQ(kmin, bmin) << IsaTierName(tier) << " i=" << i;
+  const double inf = std::numeric_limits<double>::infinity();
+  const SoaKernels& b = KernelsFor(IsaTier::kBaseline);
+  for (int variant = 0; variant < 4; ++variant) {
+    for (int m : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 128}) {
+      std::vector<Point> q = RandomPoints(rng, m, 500.0);
+      std::vector<Point> data = RandomPoints(rng, 40, 500.0);
+      auto any = [&rng](size_t size) {
+        return static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(size) - 1));
+      };
+      if (variant == 1) {
+        q[any(q.size())].x = std::nan("");
+        data[any(data.size())].y = std::nan("");
+      } else if (variant == 2) {
+        q[any(q.size())].x = inf;
+        q[any(q.size())].y = -inf;
+        data[any(data.size())].x = inf;
+        data[any(data.size())].y = -inf;
+      } else if (variant == 3) {
+        for (Point& p : q) p = rng.Bernoulli(0.5) ? Point(-0.0, 0.0) : p;
+        for (Point& p : data) p = rng.Bernoulli(0.5) ? Point(0.0, -0.0) : p;
+      }
+      const std::string where =
+          "variant=" + std::to_string(variant) + " m=" + std::to_string(m);
+      FlatPoints soa(q);
+      const PointsView v = soa.View();
+      std::vector<double> want(q.size()), got(q.size());
+      for (size_t i = 0; i < data.size(); ++i) {
+        double acc = 0.0;
         for (size_t j = 0; j < q.size(); ++j) {
-          EXPECT_EQ(kout[j], bout[j]) << IsaTierName(tier) << " i=" << i;
+          acc += Distance(data[i], q[j]);
+          want[j] = acc;
         }
-        brow.swap(bout);
-        krow.swap(kout);
+        for (IsaTier tier : SupportedTiers()) {
+          const double last = KernelsFor(tier).dtw_start_row(
+              data[i].x, data[i].y, v.x, v.y, v.size, got.data());
+          EXPECT_EQ(Bits(last), Bits(acc))
+              << IsaTierName(tier) << " start row " << i << ", " << where;
+          for (size_t j = 0; j < q.size(); ++j) {
+            EXPECT_EQ(Bits(got[j]), Bits(want[j]))
+                << IsaTierName(tier) << " start row " << i << " j=" << j
+                << ", " << where;
+          }
+        }
+      }
+      for (IsaTier tier : SupportedTiers()) {
+        const SoaKernels& k = KernelsFor(tier);
+        std::vector<double> brow(q.size()), bout(q.size());
+        std::vector<double> krow(q.size()), kout(q.size());
+        b.dtw_start_row(data[0].x, data[0].y, v.x, v.y, v.size, brow.data());
+        k.dtw_start_row(data[0].x, data[0].y, v.x, v.y, v.size, krow.data());
+        for (size_t i = 1; i < data.size(); ++i) {
+          double bmin = 0.0, kmin = 0.0;
+          const double blast =
+              b.dtw_extend_row(data[i].x, data[i].y, v.x, v.y, v.size,
+                               brow.data(), bout.data(), &bmin);
+          const double klast =
+              k.dtw_extend_row(data[i].x, data[i].y, v.x, v.y, v.size,
+                               krow.data(), kout.data(), &kmin);
+          EXPECT_EQ(Bits(klast), Bits(blast))
+              << IsaTierName(tier) << " i=" << i << ", " << where;
+          EXPECT_EQ(Bits(kmin), Bits(bmin))
+              << IsaTierName(tier) << " i=" << i << ", " << where;
+          for (size_t j = 0; j < q.size(); ++j) {
+            EXPECT_EQ(Bits(kout[j]), Bits(bout[j]))
+                << IsaTierName(tier) << " i=" << i << ", " << where;
+          }
+          brow.swap(bout);
+          krow.swap(kout);
+        }
       }
     }
   }

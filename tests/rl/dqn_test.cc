@@ -216,7 +216,8 @@ TEST(DqnAgentTest, TrainingStepAllocatesNothingOnceTheRingIsFull) {
   for (const geo::Trajectory& t : dataset.trajectories) {
     if (t.size() > longest->size()) longest = &t;
   }
-  SplitEnv env(&dtw, EnvOptions{});
+  similarity::EvaluatorCache evaluators;
+  SplitEnv env(&dtw, EnvOptions{}, evaluators);
   DqnOptions options;
   options.replay_capacity = 64;
   DqnAgent agent(env.state_dim(), env.action_count(), options, 3);
@@ -229,10 +230,10 @@ TEST(DqnAgentTest, TrainingStepAllocatesNothingOnceTheRingIsFull) {
       const bool count = agent.replay_size() == 64 && counted_steps < 100;
       g_news = 0;
       g_count_news = count;
-      step.state = env.state();
+      step.state.assign(env.state().begin(), env.state().end());
       step.action = agent.SelectAction(step.state);
       step.reward = env.Step(step.action);
-      step.next_state = env.state();
+      step.next_state.assign(env.state().begin(), env.state().end());
       step.terminal = env.done();
       agent.Remember(step);
       agent.Learn();

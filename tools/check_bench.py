@@ -11,7 +11,7 @@ The gate is suite-aware: every BENCH json names its suite in the top-level
 "bench" field, and SUITES below lists the gated ratios and identity bits per
 suite. Currently gated:
   * "kernels"        (bench_kernels): SoA kernel speedups + the
-                     pruned==unpruned engine identity;
+                     start-row and pruned==unpruned engine identities;
   * "service_mixed"  (bench_service_mixed): mixed-spec async-vs-sequential
                      speedup + the async==sequential identity;
   * "loadgen"        (bench_loadgen): overload shed fraction + the
@@ -64,6 +64,7 @@ SUITES = {
             (("squared_distance_row", "speedup"),
              "squared distance row SoA speedup"),
             (("dtw_extend", "speedup"), "DTW extend SoA speedup"),
+            (("dtw_start", "speedup"), "DTW start row two-pass speedup"),
             (("dtw_suffix", "speedup"), "DTW suffix multi-row speedup"),
             (("engine_topk", "speedup"), "engine top-k pruning speedup"),
             # batched/sequential seconds from the same run, i.e. the
@@ -72,6 +73,8 @@ SUITES = {
             (("batched", "speedup"), "multi-query batched qps/core ratio"),
         ],
         "identities": [
+            (("dtw_start", "identical_to_scalar"),
+             "dispatched start rows identical to scalar"),
             (("engine_topk", "pruned_identical_to_unpruned"),
              "pruned results identical to unpruned"),
             (("batched", "identical_to_sequential"),
