@@ -18,7 +18,9 @@
 //    serialized on scratch[j-1]) read the FlatPoints arrays directly with
 //    the distance computed inline: the sqrt sits off the carried min/max
 //    path and hides under it, while a separate row-fill pass would add
-//    un-hideable loads and stores;
+//    un-hideable loads and stores. The DTW start row is the exception: its
+//    carried chain is one add, shorter than a scalar sqrt, so it fills its
+//    distances in DistanceRow's vector loop first and sums them after;
 //  * whole-matrix passes, which read no row before the last (the DTW
 //    suffix pass of PSS and the RL state), run as staggered rows: SIMD
 //    lane l holds row r0 + l one column behind lane l - 1, so the rows'

@@ -2,13 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <new>
 
 #include "algo/exacts.h"
 #include "similarity/dtw.h"
 #include "similarity/frechet.h"
 #include "util/random.h"
+
+// Counts operator new calls while a test turns counting on. Replacing the
+// global operators is test-local: only this binary links them.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<long long> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC 12 would otherwise see std::free() applied to a pointer
+// from operator new and warn (-Wmismatched-new-delete), though the two
+// replacements here pair malloc with free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace simsub::algo {
 namespace {
@@ -76,6 +102,25 @@ TEST(PssTest, ReportsBothCandidateKindsPerPoint) {
   auto query = Line({1});
   auto r = pss.Search(data, query);
   EXPECT_EQ(r.stats.candidates, 2 * 4);
+}
+
+// With a warm scratch, a bounded PSS search allocates twice: its suffix
+// distances and their running minima. The reversed query its suffix pass
+// runs against lives in the scratch.
+TEST(PssTest, WarmBoundedSearchAllocatesTwice) {
+  util::Rng rng(31);
+  std::vector<std::vector<Point>> data;
+  for (int i = 0; i < 10; ++i) data.push_back(RandomWalk(rng, 30 + i));
+  const std::vector<Point> query = RandomWalk(rng, 12);
+  PssSearch pss(&kDtw);
+  similarity::EvaluatorCache scratch;
+  const double bailout = std::numeric_limits<double>::infinity();
+  for (const auto& d : data) (void)pss.Search(d, query, &scratch, bailout);
+  g_news = 0;
+  g_count_news = true;
+  for (const auto& d : data) (void)pss.Search(d, query, &scratch, bailout);
+  g_count_news = false;
+  EXPECT_EQ(g_news.load(), 2 * static_cast<long long>(data.size()));
 }
 
 TEST(PosTest, PrefixOnlyNeverUsesSuffix) {
