@@ -80,13 +80,14 @@ class Mlp {
   /// The greedy decision for one sample: the first output unit holding the
   /// largest value of Forward(x) (the unit std::max_element picks), bit for
   /// bit, with no Cache and no allocation. Every sum keeps Forward's index
-  /// order; an output layer of up to 8 units is summed in one tile, so its
-  /// units' chains run side by side. A network with a hidden or output
-  /// layer wider than 64 units decides through Forward instead.
+  /// order. A hidden layer over 2 or 3 inputs is summed a row at a time,
+  /// unrolled; an output layer of up to 8 units is summed in one tile, so
+  /// its units' chains run side by side. A network with a layer wider than
+  /// 64 units decides through Forward instead.
   int ArgMaxOutput(std::span<const double> x) const;
 
   /// The buffers of one forward/backward pair. Reusing one Cache across
-  /// calls keeps hot loops (DQN training, RLS inference) allocation-free.
+  /// calls keeps hot loops (the DQN learning step) allocation-free.
   struct Cache {
     size_t samples = 0;  // B of the last forward pass
     std::vector<std::vector<double>> post;  // post[l] = output of layer l

@@ -62,8 +62,8 @@ class SplitEnv {
   void Reset(std::span<const geo::Point> data,
              std::span<const geo::Point> query);
 
-  /// Current state vector (size state_dim()), valid until the next Step()
-  /// or Reset().
+  /// Current state (size state_dim()): a view of the env's own array,
+  /// which Reset() and Step() rewrite in place.
   std::span<const double> state() const {
     return {state_.data(), static_cast<size_t>(state_dim())};
   }

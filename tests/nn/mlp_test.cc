@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -279,6 +280,130 @@ TEST(MlpTest, BatchMatchesOneSampleAtATime) {
       for (size_t v = 0; v < a.size(); ++v) {
         EXPECT_TRUE(SameBits(*a[v].grad, *c[v].grad))
             << "B=" << samples << " read_one=" << read_one << " tensor " << v;
+      }
+    }
+  }
+}
+
+// One layer of NetFromText: its width, activation, and row-major weights
+// and biases.
+struct TextLayer {
+  int out = 0;
+  Activation act = Activation::kNone;
+  std::vector<double> w;
+  std::vector<double> b;
+};
+
+// The network these layers make, read from text as a saved one is.
+Mlp NetFromText(int input_dim, const std::vector<TextLayer>& layers) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "mlp " << input_dim << " " << layers.size() << "\n";
+  int width = input_dim;
+  for (const TextLayer& layer : layers) {
+    os << width << " " << layer.out << " " << ActivationName(layer.act) << "\n";
+    for (double v : layer.w) os << v << " ";
+    os << "\n";
+    for (double v : layer.b) os << v << " ";
+    os << "\n";
+    width = layer.out;
+  }
+  std::istringstream is(os.str());
+  auto net = Mlp::Load(is);
+  EXPECT_TRUE(net.ok());
+  return std::move(net).value();
+}
+
+// A layer of `out` units over `in` inputs with normal weights and biases.
+TextLayer RandomLayer(int in, int out, Activation act, util::Rng& rng) {
+  TextLayer layer{out, act, std::vector<double>(static_cast<size_t>(in) * out),
+                  std::vector<double>(static_cast<size_t>(out))};
+  for (double& v : layer.w) v = rng.Normal(0.0, 1.0);
+  for (double& v : layer.b) v = rng.Normal(0.0, 1.0);
+  return layer;
+}
+
+// ArgMaxOutput is the unit std::max_element picks from Forward, for the
+// shapes it specializes (inputs 2 and 3, one tile of 2 to 8 output units)
+// and the rest (other inputs, wider outputs, layers of more than 64 units,
+// which take Forward itself), under every activation. Tied units, sigmoids
+// saturated to 1.0 and NaN inputs are where the first maximum differs from
+// another one.
+TEST(MlpTest, ArgMaxOutputPicksForwardsFirstMaximum) {
+  util::Rng rng(41);
+  const Activation kActs[] = {Activation::kNone, Activation::kRelu,
+                              Activation::kSigmoid, Activation::kTanh};
+  int ties = 0;
+  for (int in : {1, 2, 3, 5}) {
+    for (int out : {1, 2, 3, 5, 8, 9, 70}) {
+      for (int hidden : {0, 20, 70}) {
+        for (Activation act : kActs) {
+          for (bool tie_units : {false, true}) {
+            std::vector<TextLayer> layers;
+            if (hidden > 0) {
+              layers.push_back(RandomLayer(in, hidden, kActs[(in + out) % 4], rng));
+            }
+            layers.push_back(RandomLayer(hidden > 0 ? hidden : in, out, act, rng));
+            if (tie_units) {
+              // Every odd output unit repeats unit 0.
+              TextLayer& head = layers.back();
+              const size_t width = head.w.size() / static_cast<size_t>(out);
+              for (int o = 1; o < out; o += 2) {
+                std::copy_n(head.w.begin(), width, head.w.begin() + o * width);
+                head.b[static_cast<size_t>(o)] = head.b[0];
+              }
+            }
+            const Mlp net = NetFromText(in, layers);
+            for (int trial = 0; trial < 8; ++trial) {
+              std::vector<double> x(static_cast<size_t>(in));
+              for (double& v : x) v = rng.Uniform(-3.0, 3.0);
+              if (trial == 1) x[0] = std::nan("");
+              if (trial == 2) x[0] = 1e6;  // saturates the sigmoid heads
+              const std::vector<double> q = net.Forward(x);
+              const auto first = std::max_element(q.begin(), q.end());
+              ties += std::count(q.begin(), q.end(), *first) > 1;
+              EXPECT_EQ(net.ArgMaxOutput(x), first - q.begin())
+                  << "in=" << in << " hidden=" << hidden << " out=" << out
+                  << " act=" << ActivationName(act) << " trial=" << trial;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0);  // the first maximum was tested, not just a maximum
+}
+
+// The hidden layers ArgMaxOutput sums itself (a row at a time for 2 and 3
+// inputs) keep Forward's index order bit for bit. A linear head reads
+// hidden unit k against c, its value under Forward: units (k, c) tie, and
+// the decision is unit 0, only if the two are equal; units (c, k) catch a
+// difference the other way.
+TEST(MlpTest, ArgMaxOutputSumsHiddenUnitsInForwardsOrder) {
+  util::Rng rng(43);
+  const int hidden = 6;
+  for (int in : {2, 3, 5}) {
+    for (Activation act : {Activation::kNone, Activation::kRelu,
+                           Activation::kSigmoid, Activation::kTanh}) {
+      for (int trial = 0; trial < 10; ++trial) {
+        const TextLayer first = RandomLayer(in, hidden, act, rng);
+        std::vector<double> x(static_cast<size_t>(in));
+        for (double& v : x) v = rng.Uniform(-3.0, 3.0);
+        const std::vector<double> h = NetFromText(in, {first}).Forward(x);
+        for (int k = 0; k < hidden; ++k) {
+          for (int unit_at : {0, 1}) {
+            // The head unit `unit_at` passes h[k] through; the other holds
+            // h[k] as computed by Forward in its bias.
+            TextLayer head{2, Activation::kNone,
+                           std::vector<double>(2 * hidden, 0.0),
+                           std::vector<double>(2, 0.0)};
+            head.w[static_cast<size_t>(unit_at * hidden + k)] = 1.0;
+            head.b[static_cast<size_t>(1 - unit_at)] = h[static_cast<size_t>(k)];
+            EXPECT_EQ(NetFromText(in, {first, head}).ArgMaxOutput(x), 0)
+                << "in=" << in << " act=" << ActivationName(act)
+                << " unit " << k << " at " << unit_at;
+          }
+        }
       }
     }
   }
