@@ -461,17 +461,12 @@ int Mlp::ArgMaxOutput(std::span<const double> x) const {
     DecisionLayer(layers_[l], cur, buffers[l % 2]);
     cur = buffers[l % 2];
   }
+  // Two or three output units sum in one tile, side by side, where the
+  // 4-row tiles would take them a row at a time; wider layers keep those
+  // tiles (a 5-unit tile ran slower than a 4-row tile and a row).
   const DenseLayer& head = layers_[last];
-  switch (head.out) {
-    case 2: return TileArgMax<2>(head, cur);
-    case 3: return TileArgMax<3>(head, cur);
-    case 4: return TileArgMax<4>(head, cur);
-    case 5: return TileArgMax<5>(head, cur);
-    case 6: return TileArgMax<6>(head, cur);
-    case 7: return TileArgMax<7>(head, cur);
-    case 8: return TileArgMax<8>(head, cur);
-    default: break;
-  }
+  if (head.out == 2) return TileArgMax<2>(head, cur);
+  if (head.out == 3) return TileArgMax<3>(head, cur);
   double* q = buffers[last % 2];
   AffineSample(head, 0, 1, false, cur, q);
   for (int k = 0; k < head.out; ++k) q[k] = Activate(head.act, q[k]);

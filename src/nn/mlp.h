@@ -81,9 +81,9 @@ class Mlp {
   /// largest value of Forward(x) (the unit std::max_element picks), bit for
   /// bit, with no Cache and no allocation. Every sum keeps Forward's index
   /// order. A hidden layer over 2 or 3 inputs is summed a row at a time,
-  /// unrolled; an output layer of up to 8 units is summed in one tile, so
-  /// its units' chains run side by side. A network with a layer wider than
-  /// 64 units decides through Forward instead.
+  /// unrolled, and an output layer of 2 or 3 units in one tile, so their
+  /// chains run side by side. A network with a layer wider than 64 units
+  /// decides through Forward instead.
   int ArgMaxOutput(std::span<const double> x) const;
 
   /// The buffers of one forward/backward pair. Reusing one Cache across

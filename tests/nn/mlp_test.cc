@@ -324,7 +324,7 @@ TextLayer RandomLayer(int in, int out, Activation act, util::Rng& rng) {
 }
 
 // ArgMaxOutput is the unit std::max_element picks from Forward, for the
-// shapes it specializes (inputs 2 and 3, one tile of 2 to 8 output units)
+// shapes it specializes (inputs 2 and 3, one tile of 2 or 3 output units)
 // and the rest (other inputs, wider outputs, layers of more than 64 units,
 // which take Forward itself), under every activation. Tied units, sigmoids
 // saturated to 1.0 and NaN inputs are where the first maximum differs from
