@@ -95,7 +95,7 @@ TEST(SplitEnvTest, ResetStartsCountersAfresh) {
 
 // A warm Reset reuses the cache's evaluator, its suffix-pass scratch and
 // reversed query, and the env's suffix buffer, so on a DTW pair it
-// allocates nothing; neither does an episode's steps.
+// allocates nothing, and neither do an episode's steps.
 TEST(SplitEnvTest, WarmResetAllocatesNothing) {
   util::Rng rng(21);
   std::vector<Point> data, query;
