@@ -194,8 +194,8 @@ void NarrowRows(const DenseLayer& layer, bool relu, const double* x,
   }
 }
 
-// One sample's activated outputs of a hidden layer for Mlp::ArgMaxOutput.
-// Layers as narrow as the splitting MDP's states sum a row at a time.
+// One sample's activated outputs of a layer for Mlp::ArgMaxOutput. Layers
+// as narrow as the splitting MDP's states sum a row at a time.
 void DecisionLayer(const DenseLayer& layer, const double* x, double* out) {
   const bool relu = layer.act == Activation::kRelu;
   if (layer.in == 2) {
@@ -468,8 +468,7 @@ int Mlp::ArgMaxOutput(std::span<const double> x) const {
   if (head.out == 2) return TileArgMax<2>(head, cur);
   if (head.out == 3) return TileArgMax<3>(head, cur);
   double* q = buffers[last % 2];
-  AffineSample(head, 0, 1, false, cur, q);
-  for (int k = 0; k < head.out; ++k) q[k] = Activate(head.act, q[k]);
+  DecisionLayer(head, cur, q);
   return FirstMax(q, head.out);
 }
 
