@@ -157,22 +157,14 @@ void AffineSample(const DenseLayer& layer, size_t sample, size_t samples,
   for (; o < layer.out; ++o) AffineRows<1>(layer, o, sample, samples, relu, x, out);
 }
 
-// Tiles of 2 rows x 8 samples while eight samples last, then the rest one
-// sample at a time. Kept out of line: inlined, its register pressure would
-// make every one-sample forward pass pay for its spills.
-[[gnu::noinline]] void AffineBatch(const DenseLayer& layer, size_t samples,
-                                   bool relu, const double* x, double* out) {
+// The layer's pre-activations for a feature-major batch, or with `relu` its
+// ReLU outputs: tiles of 2 rows x 8 samples while eight samples last, then
+// the rest one sample at a time.
+void AffineBatch(const DenseLayer& layer, size_t samples, bool relu,
+                 const double* x, double* out) {
   size_t s = 0;
   for (; s + 8 <= samples; s += 8) AffineColumns(layer, s, samples, relu, x, out);
   for (; s < samples; ++s) AffineSample(layer, s, samples, relu, x, out);
-}
-
-// The layer's pre-activations for a feature-major batch, or with `relu` its
-// ReLU outputs. One sample takes the 4-row tiles directly.
-void Affine(const DenseLayer& layer, size_t samples, bool relu, const double* x,
-            double* out) {
-  if (samples == 1) return AffineSample(layer, 0, 1, relu, x, out);
-  AffineBatch(layer, samples, relu, x, out);
 }
 
 // The widest layer Mlp::ArgMaxOutput keeps on the stack.
@@ -194,13 +186,11 @@ void NarrowRows(const DenseLayer& layer, bool relu, const double* x,
   }
 }
 
-// One sample's activated outputs of a layer for Mlp::ArgMaxOutput. Layers
-// as narrow as the splitting MDP's states sum a row at a time.
+// One sample's activated outputs of a layer for Mlp::ArgMaxOutput. A layer
+// over the 3 inputs of the splitting MDP's state sums a row at a time.
 void DecisionLayer(const DenseLayer& layer, const double* x, double* out) {
   const bool relu = layer.act == Activation::kRelu;
-  if (layer.in == 2) {
-    NarrowRows<2>(layer, relu, x, out);
-  } else if (layer.in == 3) {
+  if (layer.in == 3) {
     NarrowRows<3>(layer, relu, x, out);
   } else {
     AffineSample(layer, 0, 1, relu, x, out);
@@ -208,16 +198,6 @@ void DecisionLayer(const DenseLayer& layer, const double* x, double* out) {
   if (!relu) {
     for (int k = 0; k < layer.out; ++k) out[k] = Activate(layer.act, out[k]);
   }
-}
-
-// The first of the `count` values q[0..count) holding the largest (the one
-// std::max_element picks).
-int FirstMax(const double* q, int count) {
-  int best = 0;
-  for (int o = 1; o < count; ++o) {
-    if (q[best] < q[o]) best = o;
-  }
-  return best;
 }
 
 // The first maximum of an output layer of kUnits units for one sample, its
@@ -406,6 +386,15 @@ double ActivationGradFromOutput(Activation act, double post) {
   return 1.0;
 }
 
+int FirstMax(const double* v, int count, size_t stride) {
+  int best = 0;
+  for (int o = 1; o < count; ++o) {
+    const size_t k = static_cast<size_t>(o) * stride;
+    if (v[static_cast<size_t>(best) * stride] < v[k]) best = o;
+  }
+  return best;
+}
+
 Mlp::Mlp(int input_dim, const std::vector<LayerSpec>& specs, util::Rng& rng)
     : input_dim_(input_dim) {
   SIMSUB_CHECK_GT(input_dim, 0);
@@ -461,12 +450,11 @@ int Mlp::ArgMaxOutput(std::span<const double> x) const {
     DecisionLayer(layers_[l], cur, buffers[l % 2]);
     cur = buffers[l % 2];
   }
-  // Two or three output units sum in one tile, side by side, where the
-  // 4-row tiles would take them a row at a time; wider layers keep those
-  // tiles (a 5-unit tile ran slower than a 4-row tile and a row).
+  // Two output units sum in one tile, side by side, where the 4-row tiles
+  // would take them a row at a time; wider layers keep those tiles (a 5-unit
+  // tile ran slower than a 4-row tile and a row).
   const DenseLayer& head = layers_[last];
   if (head.out == 2) return TileArgMax<2>(head, cur);
-  if (head.out == 3) return TileArgMax<3>(head, cur);
   double* q = buffers[last % 2];
   DecisionLayer(head, cur, q);
   return FirstMax(q, head.out);
@@ -476,8 +464,7 @@ const std::vector<double>& Mlp::Forward(std::span<const double> x,
                                         Cache* cache,
                                         std::span<const int> read) const {
   const size_t in = static_cast<size_t>(input_dim_);
-  // One sample skips the division: inference runs this once per decision.
-  const size_t samples = x.size() == in ? 1 : x.size() / in;
+  const size_t samples = x.size() / in;
   SIMSUB_CHECK(samples > 0 && samples * in == x.size());
   SIMSUB_CHECK(read.empty() || read.size() == samples);
   for (int unit : read) SIMSUB_CHECK(unit >= 0 && unit < output_dim());
@@ -493,7 +480,7 @@ const std::vector<double>& Mlp::Forward(std::span<const double> x,
     // ReLU is applied as the tiles store their sums; other activations
     // (each an exp or tanh per unit) run after them.
     const bool relu = layer.act == Activation::kRelu && !partial;
-    Affine(layer, samples, relu, cur, out.data());
+    AffineBatch(layer, samples, relu, cur, out.data());
     if (partial) {
       for (size_t s = 0; s < samples; ++s) {
         double& q = out[static_cast<size_t>(read[s]) * samples + s];

@@ -30,6 +30,11 @@ void ApplyActivation(Activation act, std::vector<double>* v);
 /// activations admit this form).
 double ActivationGradFromOutput(Activation act, double post);
 
+/// The first of the `count` values v[0], v[stride], ... holding the largest
+/// (the one std::max_element picks): a greedy choice among output units,
+/// one sample's of a feature-major batch when `stride` is the batch size.
+int FirstMax(const double* v, int count, size_t stride = 1);
+
 /// One affine layer y = W x + b with an elementwise activation.
 struct DenseLayer {
   int in = 0;
@@ -80,10 +85,10 @@ class Mlp {
   /// The greedy decision for one sample: the first output unit holding the
   /// largest value of Forward(x) (the unit std::max_element picks), bit for
   /// bit, with no Cache and no allocation. Every sum keeps Forward's index
-  /// order. A hidden layer over 2 or 3 inputs is summed a row at a time,
-  /// unrolled, and an output layer of 2 or 3 units in one tile, so their
-  /// chains run side by side. A network with a layer wider than 64 units
-  /// decides through Forward instead.
+  /// order. A hidden layer over 3 inputs (the splitting MDP's state) is
+  /// summed a row at a time, unrolled, and an output layer of 2 units in one
+  /// tile, so their chains run side by side. A network with a layer wider
+  /// than 64 units decides through Forward instead.
   int ArgMaxOutput(std::span<const double> x) const;
 
   /// The buffers of one forward/backward pair. Reusing one Cache across

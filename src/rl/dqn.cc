@@ -17,17 +17,6 @@ nn::Mlp BuildNet(int state_dim, int action_count, const DqnOptions& options,
   return nn::Mlp(state_dim, specs, rng);
 }
 
-// The first maximum among the `count` values v[0], v[stride], ... (the
-// element std::max_element picks).
-int ArgMax(const double* v, int count, size_t stride) {
-  int best = 0;
-  for (int o = 1; o < count; ++o) {
-    const size_t k = static_cast<size_t>(o) * stride;
-    if (v[static_cast<size_t>(best) * stride] < v[k]) best = o;
-  }
-  return best;
-}
-
 }  // namespace
 
 DqnAgent::DqnAgent(int state_dim, int action_count, DqnOptions options,
@@ -96,7 +85,7 @@ void DqnAgent::Learn() {
     const Experience& e = *batch_[s];
     double y = e.reward;
     if (!e.terminal) {
-      const int best = ArgMax(argmax_of.data() + s, action_count_, batch);
+      const int best = nn::FirstMax(argmax_of.data() + s, action_count_, batch);
       y += options_.gamma * next_q[static_cast<size_t>(best) * batch + s];
     }
     targets_[s] = y;

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 
 #include "algo/exacts.h"
@@ -16,28 +13,7 @@
 #include "engine/engine.h"
 #include "eval/metrics.h"
 #include "similarity/dtw.h"
-
-// Counts operator new calls while a test turns counting on. Replacing the
-// global operators is test-local: only this binary links them.
-namespace {
-std::atomic<bool> g_count_news{false};
-std::atomic<long long> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-// Not inlined: GCC 12 would otherwise see std::free() applied to a pointer
-// from operator new and warn (-Wmismatched-new-delete), though the two
-// replacements here pair malloc with free.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "testing/count_news.h"
 
 namespace simsub::algo {
 namespace {

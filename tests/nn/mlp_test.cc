@@ -324,11 +324,11 @@ TextLayer RandomLayer(int in, int out, Activation act, util::Rng& rng) {
 }
 
 // ArgMaxOutput is the unit std::max_element picks from Forward, for the
-// shapes it specializes (inputs 2 and 3, one tile of 2 or 3 output units)
-// and the rest (other inputs, wider outputs, layers of more than 64 units,
-// which take Forward itself), under every activation. Tied units, sigmoids
-// saturated to 1.0 and NaN inputs are where the first maximum differs from
-// another one.
+// shapes it specializes (3 inputs, one tile of 2 output units) and the rest
+// (other inputs, wider outputs, layers of more than 64 units, which take
+// Forward itself), under every activation. Tied units, sigmoids saturated
+// to 1.0 and NaN inputs are where the first maximum differs from another
+// one.
 TEST(MlpTest, ArgMaxOutputPicksForwardsFirstMaximum) {
   util::Rng rng(41);
   const Activation kActs[] = {Activation::kNone, Activation::kRelu,
@@ -374,8 +374,8 @@ TEST(MlpTest, ArgMaxOutputPicksForwardsFirstMaximum) {
   EXPECT_GT(ties, 0);  // the first maximum was tested, not just a maximum
 }
 
-// The hidden layers ArgMaxOutput sums itself (a row at a time for 2 and 3
-// inputs) keep Forward's index order bit for bit. A linear head reads
+// The hidden layers ArgMaxOutput sums itself (a row at a time for 3 inputs)
+// keep Forward's index order bit for bit. A linear head reads
 // hidden unit k against c, its value under Forward: units (k, c) tie, and
 // the decision is unit 0, only if the two are equal; units (c, k) catch a
 // difference the other way.
@@ -404,6 +404,29 @@ TEST(MlpTest, ArgMaxOutputSumsHiddenUnitsInForwardsOrder) {
                 << " unit " << k << " at " << unit_at;
           }
         }
+      }
+    }
+  }
+}
+
+// FirstMax reads every stride-th value and picks the maximum
+// std::max_element picks from them: the first of tied values, and a NaN
+// only where it comes first.
+TEST(MlpTest, FirstMaxPicksTheFirstMaximumAtAStride) {
+  util::Rng rng(47);
+  const double nan = std::nan("");
+  for (size_t stride : {1, 3}) {
+    for (int count : {1, 2, 5}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> v(static_cast<size_t>(count) * stride);
+        // Few distinct values, so ties are common.
+        for (double& x : v) x = static_cast<double>(rng.UniformInt(0, 2));
+        if (trial % 4 == 1) v[stride * static_cast<size_t>(trial % count)] = nan;
+        std::vector<double> read;
+        for (int o = 0; o < count; ++o) read.push_back(v[static_cast<size_t>(o) * stride]);
+        EXPECT_EQ(FirstMax(v.data(), count, stride),
+                  std::max_element(read.begin(), read.end()) - read.begin())
+            << "stride " << stride << " count " << count << " trial " << trial;
       }
     }
   }

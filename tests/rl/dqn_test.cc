@@ -2,31 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <set>
 
 #include "data/generator.h"
 #include "rl/env.h"
 #include "similarity/dtw.h"
-
-// Counts operator new calls while a test turns counting on. Replacing the
-// global operators is test-local: only this binary links them.
-namespace {
-std::atomic<bool> g_count_news{false};
-std::atomic<long long> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "testing/count_news.h"
 
 namespace simsub::rl {
 namespace {
